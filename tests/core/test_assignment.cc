@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "core/assignment.hh"
+#include "core/journal.hh"
+#include "core/sampler.hh"
 #include "stats/rng.hh"
 
 namespace
@@ -16,14 +23,71 @@ using statsched::stats::Rng;
 
 const Topology t2 = Topology::ultraSparcT2();
 
+/**
+ * Reference canonical key: one string per pipe and per core, sorted
+ * as strings. canonicalKey() must reproduce its bytes exactly, since
+ * journals store a hash of them.
+ */
+std::string
+oracleCanonicalKey(const Assignment &assignment)
+{
+    const Topology &topology = assignment.topology();
+    const auto by_pipe = assignment.tasksByPipe();
+    std::vector<std::string> core_keys;
+    for (std::uint32_t c = 0; c < topology.cores; ++c) {
+        std::vector<std::string> pipe_keys;
+        bool core_empty = true;
+        for (std::uint32_t p = 0; p < topology.pipesPerCore; ++p) {
+            const auto &tasks = by_pipe[c * topology.pipesPerCore + p];
+            std::vector<TaskId> sorted(tasks);
+            std::sort(sorted.begin(), sorted.end());
+            std::string key = "[";
+            for (TaskId t : sorted)
+                key += std::to_string(t) + ",";
+            key += "]";
+            core_empty = core_empty && tasks.empty();
+            pipe_keys.push_back(std::move(key));
+        }
+        if (core_empty)
+            continue;
+        std::sort(pipe_keys.begin(), pipe_keys.end());
+        std::string core_key = "{";
+        for (const auto &pk : pipe_keys)
+            core_key += pk;
+        core_keys.push_back(core_key + "}");
+    }
+    std::sort(core_keys.begin(), core_keys.end());
+    std::string key;
+    for (const auto &ck : core_keys)
+        key += ck;
+    return key;
+}
+
 TEST(Assignment, ValidityChecks)
 {
     EXPECT_TRUE(Assignment::isValid(t2, {0, 1, 2}));
     EXPECT_TRUE(Assignment::isValid(t2, {63, 0, 31}));
     // Duplicate context.
     EXPECT_FALSE(Assignment::isValid(t2, {5, 5}));
+    EXPECT_FALSE(Assignment::isValid(t2, {63, 0, 63}));
     // Out of range.
     EXPECT_FALSE(Assignment::isValid(t2, {64}));
+    EXPECT_FALSE(Assignment::isValid(t2, {0, 64}));
+
+    // Every context of the T2 taken, in a scrambled order.
+    std::vector<ContextId> full(64);
+    std::iota(full.begin(), full.end(), 0u);
+    std::reverse(full.begin() + 10, full.end());
+    EXPECT_TRUE(Assignment::isValid(t2, full));
+    full[40] = full[3];
+    EXPECT_FALSE(Assignment::isValid(t2, full));
+
+    // 128 contexts: past one 64-bit word.
+    const Topology wide{16, 4, 2};
+    EXPECT_TRUE(Assignment::isValid(wide, {127, 0, 64, 63}));
+    EXPECT_FALSE(Assignment::isValid(wide, {128}));
+    EXPECT_FALSE(Assignment::isValid(wide, {5, 100, 100}));
+    EXPECT_FALSE(Assignment::isValid(wide, {36, 100, 36}));
 }
 
 TEST(Assignment, AccessorsAndGrouping)
@@ -103,6 +167,59 @@ TEST(Assignment, CanonicalKeyDistinguishesTaskIdentity)
     const Assignment a(t2, {0, 8, 9});
     const Assignment b(t2, {8, 0, 9});
     EXPECT_NE(a.canonicalKey(), b.canonicalKey());
+}
+
+TEST(Assignment, CanonicalKeyBytesArePinned)
+{
+    EXPECT_EQ(Assignment(t2, {0, 8, 9}).canonicalKey(),
+              "{[0,][]}{[1,2,][]}");
+    // Both pipes of a core occupied: pipe keys sort as strings, so
+    // "[0,2,]" (pipe 1) precedes "[1,]" (pipe 0).
+    EXPECT_EQ(Assignment(t2, {4, 0, 5}).canonicalKey(),
+              "{[0,2,][1,]}");
+    // Task ids of two digits sort as strings too: "{[10,]...}"
+    // before "{[2,]...}".
+    const Assignment wide_ids(
+        t2, {0, 1, 48, 2, 3, 8, 9, 10, 12, 13, 56, 16});
+    EXPECT_EQ(wide_ids.canonicalKey(),
+              "{[0,1,3,4,][]}{[10,][]}{[11,][]}{[2,][]}"
+              "{[5,6,7,][8,9,]}");
+    EXPECT_EQ(Assignment(Topology{16, 4, 2}, {127, 0, 64, 2})
+                  .canonicalKey(),
+              "{[0,][][][]}{[1,][3,][][]}{[2,][][][]}");
+}
+
+TEST(Assignment, JournalKeyHashIsPinned)
+{
+    // Journals store this hash; a journal written by any earlier
+    // build resumes only if it stays put.
+    EXPECT_EQ(journalKeyHash(Assignment(t2, {0, 8, 9})),
+              0x9886527930cfca36ull);
+    EXPECT_EQ(journalKeyHash(Assignment(
+                  t2, {0, 1, 48, 2, 3, 8, 9, 10, 12, 13, 56, 16})),
+              0xa24ebb07aaae6bdfull);
+}
+
+TEST(Assignment, CanonicalKeyMatchesOracle)
+{
+    // The ShapeSweep shapes, at loads from one task to a full machine.
+    const Topology shapes[] = {{1, 1, 4}, {2, 1, 2}, {2, 2, 2},
+                               {4, 2, 4}, {8, 2, 4}, {8, 1, 8},
+                               {3, 3, 3}, {16, 4, 2}};
+    for (const Topology &shape : shapes) {
+        const std::uint32_t v = shape.contexts();
+        for (const std::uint32_t tasks :
+             {1u, std::max(1u, v / 4), std::max(1u, v / 2), v}) {
+            RandomAssignmentSampler sampler(
+                shape, tasks, 11 + tasks,
+                SamplingMethod::PartialFisherYates);
+            for (int i = 0; i < 2500; ++i) {
+                const Assignment a = sampler.draw();
+                ASSERT_EQ(a.canonicalKey(), oracleCanonicalKey(a))
+                    << shape.shapeString() << " " << a.toString();
+            }
+        }
+    }
 }
 
 TEST(Assignment, RandomizedCanonicalInvariance)
