@@ -11,7 +11,12 @@
 #include "core/assignment.hh"
 
 #include <algorithm>
-#include <set>
+#include <array>
+#include <charconv>
+#include <cstddef>
+#include <limits>
+#include <memory_resource>
+#include <string_view>
 #include "base/check.hh"
 
 namespace statsched
@@ -33,12 +38,24 @@ bool
 Assignment::isValid(const Topology &topology,
                     const std::vector<ContextId> &contexts)
 {
-    std::set<ContextId> seen;
-    for (ContextId ctx : contexts) {
-        if (ctx >= topology.contexts())
+    // Occupancy bitmap: one word covers every shape up to 64 contexts,
+    // the T2 included, without touching the heap; wider shapes take
+    // one word per 64 contexts.
+    const std::uint32_t v = topology.contexts();
+    std::uint64_t narrow = 0;
+    std::vector<std::uint64_t> wide;
+    std::uint64_t *seen = &narrow;
+    if (v > 64) {
+        wide.assign((v + 63) / 64, 0);
+        seen = wide.data();
+    }
+    for (const ContextId ctx : contexts) {
+        if (ctx >= v)
             return false;
-        if (!seen.insert(ctx).second)
+        const std::uint64_t bit = std::uint64_t{1} << (ctx % 64);
+        if (seen[ctx / 64] & bit)
             return false;
+        seen[ctx / 64] |= bit;
     }
     return true;
 }
@@ -69,11 +86,10 @@ namespace
  * visited in ascending id order, so each group's member list is
  * ascending — matching the vector-of-vectors groupings above.
  */
-template <typename GroupFn>
+template <typename GroupFn, typename Offsets, typename Flat>
 void
 groupInto(std::size_t tasks, std::size_t groups, GroupFn group_of,
-          std::vector<std::uint32_t> &offsets,
-          std::vector<TaskId> &flat)
+          Offsets &offsets, Flat &flat)
 {
     offsets.assign(groups + 1, 0);
     for (TaskId t = 0; t < tasks; ++t)
@@ -112,43 +128,74 @@ Assignment::tasksByCoreInto(std::vector<std::uint32_t> &offsets,
 std::string
 Assignment::canonicalKey() const
 {
-    // Build per-core descriptors: each core is the sorted pair of its
-    // two (sorted) pipe task lists; cores are then sorted as strings.
-    const auto by_pipe = tasksByPipe();
-    std::vector<std::string> core_keys;
-    core_keys.reserve(topology_.cores);
+    // The key is "{" + the core's pipe keys in string order + "}" per
+    // occupied core, cores in string order; a pipe key is "[" then
+    // "id," per task in ascending id order, then "]". Journals store a
+    // hash of these bytes, so they must never change.
+    const std::size_t tasks = contexts_.size();
+    const std::size_t cores = topology_.cores;
+    const std::size_t per_core = topology_.pipesPerCore;
+    const std::size_t pipes = cores * per_core;
 
-    for (std::uint32_t c = 0; c < topology_.cores; ++c) {
-        std::vector<std::string> pipe_keys;
-        bool core_empty = true;
-        for (std::uint32_t p = 0; p < topology_.pipesPerCore; ++p) {
-            const auto &tasks = by_pipe[c * topology_.pipesPerCore + p];
-            std::string key = "[";
-            std::vector<TaskId> sorted(tasks);
-            std::sort(sorted.begin(), sorted.end());
-            for (TaskId t : sorted) {
-                key += std::to_string(t);
-                key += ",";
-            }
-            key += "]";
-            if (!tasks.empty())
-                core_empty = false;
-            pipe_keys.push_back(std::move(key));
+    // Scratch comes from a stack arena; only shapes far wider than the
+    // T2 spill over to the heap.
+    std::array<std::byte, 4096> stack;
+    std::pmr::monotonic_buffer_resource arena(stack.data(),
+                                              stack.size());
+
+    // The counting sort keeps each pipe's task ids ascending.
+    std::pmr::vector<std::uint32_t> offsets(&arena);
+    std::pmr::vector<TaskId> members(&arena);
+    groupInto(tasks, pipes,
+              [this](TaskId t) {
+                  return contexts_[t] / topology_.strandsPerPipe;
+              },
+              offsets, members);
+
+    // Render every pipe key once; an id takes at most 10 digits plus
+    // its comma.
+    constexpr std::size_t kMaxIdChars =
+        std::numeric_limits<TaskId>::digits10 + 2;
+    std::pmr::vector<char> pipe_text(2 * pipes + tasks * kMaxIdChars,
+                                     &arena);
+    std::pmr::vector<std::string_view> pipe_keys(pipes, &arena);
+    char *out = pipe_text.data();
+    char *const pipe_text_end = out + pipe_text.size();
+    for (std::size_t p = 0; p < pipes; ++p) {
+        char *const begin = out;
+        *out++ = '[';
+        for (std::uint32_t i = offsets[p]; i < offsets[p + 1]; ++i) {
+            out = std::to_chars(out, pipe_text_end, members[i]).ptr;
+            *out++ = ',';
         }
-        if (core_empty)
-            continue;
-        std::sort(pipe_keys.begin(), pipe_keys.end());
-        std::string core_key = "{";
-        for (const auto &pk : pipe_keys)
-            core_key += pk;
-        core_key += "}";
-        core_keys.push_back(std::move(core_key));
+        *out++ = ']';
+        pipe_keys[p] = std::string_view(begin, out - begin);
     }
 
+    std::pmr::vector<char> core_text(
+        2 * cores + (out - pipe_text.data()), &arena);
+    std::pmr::vector<std::string_view> core_keys(&arena);
+    core_keys.reserve(cores);
+    out = core_text.data();
+    for (std::size_t c = 0; c < cores; ++c) {
+        if (offsets[c * per_core] == offsets[(c + 1) * per_core])
+            continue;   // no task on this core
+        const auto first = pipe_keys.begin() + c * per_core;
+        const auto last = first + per_core;
+        std::sort(first, last);
+        char *const begin = out;
+        *out++ = '{';
+        for (auto it = first; it != last; ++it)
+            out = std::copy(it->begin(), it->end(), out);
+        *out++ = '}';
+        core_keys.emplace_back(begin, out - begin);
+    }
     std::sort(core_keys.begin(), core_keys.end());
+
     std::string key;
-    for (const auto &ck : core_keys)
-        key += ck;
+    key.reserve(out - core_text.data());
+    for (const std::string_view core_key : core_keys)
+        key += core_key;
     return key;
 }
 

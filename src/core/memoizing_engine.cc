@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string_view>
+#include <utility>
 #include <vector>
 #include "base/check.hh"
 
@@ -53,14 +55,19 @@ MemoizingEngine::measureBatch(std::span<const Assignment> batch,
 
     // Pass 1: resolve cache hits and collect the unique misses in
     // first-occurrence order. `slot[i]` is the miss sub-batch index
-    // of item i, or SIZE_MAX for a hit.
+    // of item i, or SIZE_MAX for a hit; `missItems[m]` is the batch
+    // item whose key pass 3 moves into the cache. `pending` views
+    // the keys instead of copying them.
     constexpr std::size_t kHit =
         std::numeric_limits<std::size_t>::max();
     std::vector<std::string> keys(batch.size());
     std::vector<std::size_t> slot(batch.size(), kHit);
     std::vector<Assignment> misses;
-    std::vector<std::string> missKeys;
-    std::unordered_map<std::string, std::size_t> pending;
+    std::vector<std::size_t> missItems;
+    std::unordered_map<std::string_view, std::size_t> pending;
+    misses.reserve(batch.size());
+    missItems.reserve(batch.size());
+    pending.reserve(batch.size());
     std::uint64_t hit_count = 0;
 
     {
@@ -73,18 +80,18 @@ MemoizingEngine::measureBatch(std::span<const Assignment> batch,
                 ++hit_count;
                 continue;
             }
-            const auto dup = pending.find(keys[i]);
-            if (dup != pending.end()) {
+            const auto [first, fresh] =
+                pending.try_emplace(keys[i], misses.size());
+            if (!fresh) {
                 // Duplicate inside the batch: share the first
                 // occurrence's measurement.
-                slot[i] = dup->second;
+                slot[i] = first->second;
                 ++hit_count;
                 continue;
             }
             slot[i] = misses.size();
-            pending.emplace(keys[i], misses.size());
             misses.push_back(batch[i]);
-            missKeys.push_back(keys[i]);
+            missItems.push_back(i);
         }
     }
 
@@ -108,7 +115,7 @@ MemoizingEngine::measureBatch(std::span<const Assignment> batch,
     }
     for (std::size_t m = 0; m < misses.size(); ++m) {
         if (std::isfinite(values[m]))
-            cache_.emplace(missKeys[m], values[m]);
+            cache_.emplace(std::move(keys[missItems[m]]), values[m]);
     }
 }
 
@@ -152,8 +159,11 @@ MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
     std::vector<std::string> keys(batch.size());
     std::vector<std::size_t> slot(batch.size(), kHit);
     std::vector<Assignment> misses;
-    std::vector<std::string> missKeys;
-    std::unordered_map<std::string, std::size_t> pending;
+    std::vector<std::size_t> missItems;
+    std::unordered_map<std::string_view, std::size_t> pending;
+    misses.reserve(batch.size());
+    missItems.reserve(batch.size());
+    pending.reserve(batch.size());
     std::uint64_t hit_count = 0;
 
     {
@@ -166,16 +176,16 @@ MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
                 ++hit_count;
                 continue;
             }
-            const auto dup = pending.find(keys[i]);
-            if (dup != pending.end()) {
-                slot[i] = dup->second;
+            const auto [first, fresh] =
+                pending.try_emplace(keys[i], misses.size());
+            if (!fresh) {
+                slot[i] = first->second;
                 ++hit_count;
                 continue;
             }
             slot[i] = misses.size();
-            pending.emplace(keys[i], misses.size());
             misses.push_back(batch[i]);
-            missKeys.push_back(keys[i]);
+            missItems.push_back(i);
         }
     }
 
@@ -197,7 +207,8 @@ MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
     }
     for (std::size_t m = 0; m < misses.size(); ++m) {
         if (outcomes[m].ok())
-            cache_.emplace(missKeys[m], outcomes[m].value);
+            cache_.emplace(std::move(keys[missItems[m]]),
+                           outcomes[m].value);
     }
 }
 

@@ -199,13 +199,15 @@ ResilientEngine::measureBatchOutcome(std::span<const Assignment> batch,
     if (batch.empty())
         return;
 
-    // Quarantined classes are rejected before any measurement.
+    // Quarantined classes are rejected before any measurement. While
+    // nothing is quarantined no item needs its canonical key.
     std::vector<std::size_t> live;
     live.reserve(batch.size());
     {
         base::MutexLock lock(mutex_);
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (quarantine_.count(batch[i].canonicalKey()) != 0) {
+            if (!quarantine_.empty() &&
+                quarantine_.count(batch[i].canonicalKey()) != 0) {
                 out[i] = MeasurementOutcome::failure(
                     MeasureStatus::Quarantined, 0);
             } else {
