@@ -33,6 +33,7 @@
 
 #include "bench/harness.hh"
 #include "base/clock.hh"
+#include "core/fault_injection.hh"
 #include "core/sampler.hh"
 #include "core/shard_worker.hh"
 #include "core/sharded_engine.hh"
@@ -58,85 +59,6 @@ workload()
     return sim::makeWorkload(sim::Benchmark::IpfwdL1, 8);
 }
 
-/** Byzantine decorator: honest computation, corrupted value bits —
- *  mirrors the worker binary's --garbage-values chaos mode. */
-class GarbageEngine : public core::PerformanceEngine
-{
-  public:
-    explicit GarbageEngine(core::PerformanceEngine &inner)
-        : inner_(inner)
-    {
-    }
-
-    double
-    measure(const Assignment &assignment) override
-    {
-        return measureOutcome(assignment).valueOrNaN();
-    }
-
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override
-    {
-        return corrupt(inner_.measureOutcome(assignment));
-    }
-
-    void
-    measureBatchOutcome(std::span<const Assignment> batch,
-                        std::span<MeasurementOutcome> out) override
-    {
-        inner_.measureBatchOutcome(batch, out);
-        for (MeasurementOutcome &o : out)
-            o = corrupt(o);
-    }
-
-    core::OutcomeKernel
-    outcomeKernel(std::size_t batchSize) override
-    {
-        core::OutcomeKernel kernel = inner_.outcomeKernel(batchSize);
-        if (!kernel)
-            return kernel;
-        return [kernel](const Assignment &assignment,
-                        std::size_t index) {
-            return corrupt(kernel(assignment, index));
-        };
-    }
-
-    void
-    reserveMeasurementIndices(std::size_t count) override
-    {
-        inner_.reserveMeasurementIndices(count);
-    }
-
-    std::string name() const override { return inner_.name(); }
-
-    double
-    secondsPerMeasurement() const override
-    {
-        return inner_.secondsPerMeasurement();
-    }
-
-    void
-    collectStats(core::EngineStats &stats) const override
-    {
-        inner_.collectStats(stats);
-    }
-
-  private:
-    static MeasurementOutcome
-    corrupt(MeasurementOutcome outcome)
-    {
-        if (!outcome.ok())
-            return outcome;
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &outcome.value, sizeof bits);
-        bits ^= 0xffffffULL; // low mantissa: finite, plausible
-        std::memcpy(&outcome.value, &bits, sizeof bits);
-        return outcome;
-    }
-
-    core::PerformanceEngine &inner_;
-};
-
 /** In-memory ShardBackend over a real ShardWorker: the production
  *  protocol and evaluation paths with the pipe replaced by a byte
  *  buffer. */
@@ -155,7 +77,8 @@ class LoopbackBackend : public core::ShardBackend
         engine_ = std::make_unique<sim::SimulatedEngine>(workload());
         core::PerformanceEngine *engine = engine_.get();
         if (garbage_) {
-            corrupting_ = std::make_unique<GarbageEngine>(*engine);
+            corrupting_ =
+                std::make_unique<core::ValueCorruptingEngine>(*engine);
             engine = corrupting_.get();
         }
         worker_ = std::make_unique<core::ShardWorker>(
@@ -196,7 +119,7 @@ class LoopbackBackend : public core::ShardBackend
     base::ManualClock &clock_;
     const bool garbage_;
     std::unique_ptr<sim::SimulatedEngine> engine_;
-    std::unique_ptr<GarbageEngine> corrupting_;
+    std::unique_ptr<core::ValueCorruptingEngine> corrupting_;
     std::unique_ptr<core::ShardWorker> worker_;
     core::ShardFrameParser parser_;
     bool dead_ = false;

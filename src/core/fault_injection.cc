@@ -1,12 +1,13 @@
 /**
  * @file
- * FaultInjectingEngine implementation.
+ * FaultInjectingEngine and ValueCorruptingEngine implementation.
  */
 
 #include "core/fault_injection.hh"
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "base/check.hh"
@@ -41,11 +42,24 @@ assignmentHash(const Assignment &assignment)
     return h;
 }
 
+/** @return `outcome` with its value bits corrupted when Ok. */
+MeasurementOutcome
+corrupt(MeasurementOutcome outcome)
+{
+    if (!outcome.ok())
+        return outcome;
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &outcome.value, sizeof bits);
+    bits ^= 0xffffffULL; // low mantissa: finite, same magnitude
+    std::memcpy(&outcome.value, &bits, sizeof bits);
+    return outcome;
+}
+
 } // anonymous namespace
 
 FaultInjectingEngine::FaultInjectingEngine(PerformanceEngine &inner,
                                            const FaultOptions &options)
-    : inner_(inner), options_(options)
+    : EngineDecorator(inner), options_(options)
 {
     SCHED_REQUIRE(options.hangRate >= 0.0 &&
                   options.transientRate >= 0.0 &&
@@ -91,16 +105,21 @@ FaultInjectingEngine::faultAt(std::uint64_t index,
 MeasurementOutcome
 FaultInjectingEngine::applyFault(
     std::uint64_t index, const Assignment &assignment,
-    const std::function<double()> &cleanValue)
+    const std::function<MeasurementOutcome()> &clean)
 {
     switch (faultAt(index, assignment)) {
       case FaultKind::None:
-        return MeasurementOutcome::classify(cleanValue());
+        return clean();
       case FaultKind::Outlier:
-        // A silently wrong reading: delivered Ok, value inflated.
-        outliers_.fetch_add(1, std::memory_order_relaxed);
-        return MeasurementOutcome::classify(
-            cleanValue() * options_.outlierFactor);
+        {
+            // A silently wrong reading: delivered Ok, value inflated.
+            outliers_.fetch_add(1, std::memory_order_relaxed);
+            const MeasurementOutcome outcome = clean();
+            if (!outcome.ok())
+                return outcome;
+            return MeasurementOutcome::classify(
+                outcome.value * options_.outlierFactor);
+        }
       case FaultKind::Garbage:
         {
             garbage_.fetch_add(1, std::memory_order_relaxed);
@@ -117,25 +136,6 @@ FaultInjectingEngine::applyFault(
         return MeasurementOutcome::failure(MeasureStatus::TimedOut);
     }
     SCHED_UNREACHABLE("unreachable fault kind");
-}
-
-MeasurementOutcome
-FaultInjectingEngine::measureOutcome(const Assignment &assignment)
-{
-    OutcomeKernel kernel = outcomeKernel(1);
-    if (kernel)
-        return kernel(assignment, 0);
-    const std::uint64_t index =
-        cursor_.fetch_add(1, std::memory_order_relaxed);
-    return applyFault(index, assignment, [&] {
-        return inner_.measure(assignment);
-    });
-}
-
-double
-FaultInjectingEngine::measure(const Assignment &assignment)
-{
-    return measureOutcome(assignment).valueOrNaN();
 }
 
 void
@@ -157,7 +157,7 @@ FaultInjectingEngine::measureBatchOutcome(
         const std::uint64_t index =
             cursor_.fetch_add(1, std::memory_order_relaxed);
         out[i] = applyFault(index, batch[i], [&, i] {
-            return inner_.measure(batch[i]);
+            return inner_.measureOutcome(batch[i]);
         });
     }
 }
@@ -165,7 +165,7 @@ FaultInjectingEngine::measureBatchOutcome(
 OutcomeKernel
 FaultInjectingEngine::outcomeKernel(std::size_t batchSize)
 {
-    BatchKernel inner_kernel = inner_.parallelKernel(batchSize);
+    OutcomeKernel inner_kernel = inner_.outcomeKernel(batchSize);
     if (!inner_kernel)
         return {};
     // Reserve the fault indices for the whole batch up front, like
@@ -182,15 +182,11 @@ FaultInjectingEngine::outcomeKernel(std::size_t batchSize)
     };
 }
 
-BatchKernel
-FaultInjectingEngine::parallelKernel(std::size_t batchSize)
+void
+FaultInjectingEngine::reserveMeasurementIndices(std::size_t count)
 {
-    OutcomeKernel kernel = outcomeKernel(batchSize);
-    if (!kernel)
-        return {};
-    return [kernel](const Assignment &a, std::size_t i) {
-        return kernel(a, i).valueOrNaN();
-    };
+    cursor_.fetch_add(count, std::memory_order_relaxed);
+    inner_.reserveMeasurementIndices(count);
 }
 
 void
@@ -208,6 +204,27 @@ FaultInjectingEngine::collectStats(EngineStats &stats) const
         std::max(0.0, options_.hangSeconds -
                           inner_.secondsPerMeasurement());
     inner_.collectStats(stats);
+}
+
+void
+ValueCorruptingEngine::measureBatchOutcome(
+    std::span<const Assignment> batch,
+    std::span<MeasurementOutcome> out)
+{
+    inner_.measureBatchOutcome(batch, out);
+    for (MeasurementOutcome &outcome : out)
+        outcome = corrupt(outcome);
+}
+
+OutcomeKernel
+ValueCorruptingEngine::outcomeKernel(std::size_t batchSize)
+{
+    OutcomeKernel kernel = inner_.outcomeKernel(batchSize);
+    if (!kernel)
+        return {};
+    return [kernel](const Assignment &assignment, std::size_t index) {
+        return corrupt(kernel(assignment, index));
+    };
 }
 
 } // namespace core

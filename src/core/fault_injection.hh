@@ -29,6 +29,9 @@
  *  - outlier:   the reading IS delivered as Ok but multiplied by
  *               FaultOptions::outlierFactor — a silently wrong value
  *               only median-of-k screening can catch.
+ *
+ * ValueCorruptingEngine, also here, is the Byzantine counterpart: it
+ * corrupts every Ok reading, and only a second opinion catches it.
  */
 
 #ifndef STATSCHED_CORE_FAULT_INJECTION_HH
@@ -75,7 +78,7 @@ struct FaultOptions
  * Decorator that injects deterministic faults into the measurements
  * of the wrapped engine.
  */
-class FaultInjectingEngine : public PerformanceEngine
+class FaultInjectingEngine : public EngineDecorator
 {
   public:
     /**
@@ -85,27 +88,15 @@ class FaultInjectingEngine : public PerformanceEngine
     FaultInjectingEngine(PerformanceEngine &inner,
                          const FaultOptions &options);
 
-    double measure(const Assignment &assignment) override;
-
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override;
-
     void measureBatchOutcome(
         std::span<const Assignment> batch,
         std::span<MeasurementOutcome> out) override;
 
-    /** Double-channel kernel: failed outcomes surface as NaN. */
-    BatchKernel parallelKernel(std::size_t batchSize) override;
-
     OutcomeKernel outcomeKernel(std::size_t batchSize) override;
 
-    std::string name() const override { return inner_.name(); }
-
-    double
-    secondsPerMeasurement() const override
-    {
-        return inner_.secondsPerMeasurement();
-    }
+    /** Advances the fault cursor past `count` indices, then forwards
+     *  the reservation to the wrapped engine. */
+    void reserveMeasurementIndices(std::size_t count) override;
 
     /**
      * Contributes the injected failures and the hang time surcharge:
@@ -136,9 +127,8 @@ class FaultInjectingEngine : public PerformanceEngine
     /** Applies the fault drawn for `index` around a clean reading. */
     MeasurementOutcome
     applyFault(std::uint64_t index, const Assignment &assignment,
-               const std::function<double()> &cleanValue);
+               const std::function<MeasurementOutcome()> &clean);
 
-    PerformanceEngine &inner_;
     FaultOptions options_;
     /** Next unreserved measurement index (fault substream id). */
     std::atomic<std::uint64_t> cursor_{0};
@@ -146,6 +136,31 @@ class FaultInjectingEngine : public PerformanceEngine
     std::atomic<std::uint64_t> transients_{0};
     std::atomic<std::uint64_t> garbage_{0};
     std::atomic<std::uint64_t> outliers_{0};
+};
+
+/**
+ * Byzantine decorator: measures honestly through the wrapped engine,
+ * then corrupts the value bits of every Ok outcome (XOR of the low 24
+ * mantissa bits). The corrupted value stays finite, plausible and
+ * deterministic, so it is indistinguishable from an honest reading
+ * without a second opinion — the shard fleet's audit duplication.
+ * Failed outcomes pass through unchanged. Backs statsched_worker's
+ * --garbage-values chaos mode and ablation A14.
+ */
+class ValueCorruptingEngine : public EngineDecorator
+{
+  public:
+    /** @param inner Engine to wrap; not owned. */
+    explicit ValueCorruptingEngine(PerformanceEngine &inner)
+        : EngineDecorator(inner)
+    {
+    }
+
+    void measureBatchOutcome(
+        std::span<const Assignment> batch,
+        std::span<MeasurementOutcome> out) override;
+
+    OutcomeKernel outcomeKernel(std::size_t batchSize) override;
 };
 
 } // namespace core

@@ -812,7 +812,7 @@ MeasurementJournal::sync()
 
 JournalingEngine::JournalingEngine(PerformanceEngine &inner,
                                    MeasurementJournal journal)
-    : inner_(inner), journal_(std::move(journal))
+    : EngineDecorator(inner), journal_(std::move(journal))
 {
 }
 
@@ -943,34 +943,6 @@ JournalingEngine::measureBatchOutcome(
         unjournaled_ += batch.size();
     else
         recorded_ += batch.size();
-}
-
-double
-JournalingEngine::measure(const Assignment &assignment)
-{
-    MeasurementOutcome outcome = measureOutcome(assignment);
-    return outcome.valueOrNaN();
-}
-
-MeasurementOutcome
-JournalingEngine::measureOutcome(const Assignment &assignment)
-{
-    MeasurementOutcome outcome;
-    measureBatchOutcome(std::span<const Assignment>(&assignment, 1),
-                        std::span<MeasurementOutcome>(&outcome, 1));
-    return outcome;
-}
-
-void
-JournalingEngine::measureBatch(std::span<const Assignment> batch,
-                               std::span<double> out)
-{
-    SCHED_REQUIRE(batch.size() == out.size(),
-                  "batch/result size mismatch");
-    std::vector<MeasurementOutcome> outcomes(batch.size());
-    measureBatchOutcome(batch, outcomes);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        out[i] = outcomes[i].valueOrNaN();
 }
 
 void

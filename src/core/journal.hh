@@ -31,12 +31,12 @@
  *  - Everything below the journal keeps per-measurement-index state
  *    (the simulator's noise stream, the fault injector's fault
  *    stream), reserved per batch through the kernel interface. For
- *    each replayed batch of size B the JournalingEngine requests — and
- *    discards — a batch kernel of size B from the inner stack, which
- *    advances those index cursors by exactly B (the reservation
- *    contract of PerformanceEngine::outcomeKernel()). When the replay
- *    queue drains, the cursors stand exactly where the crashed process
- *    left them, so fresh measurements continue the original streams.
+ *    each replayed batch of size B the JournalingEngine calls
+ *    reserveMeasurementIndices(B) on the inner stack, which advances
+ *    those index cursors by exactly B (the reservation contract of
+ *    PerformanceEngine::outcomeKernel()). When the replay queue
+ *    drains, the cursors stand exactly where the crashed process left
+ *    them, so fresh measurements continue the original streams.
  *
  *  - Only *complete* batch groups are replayed. A batch interrupted by
  *    the crash (torn record, missing group members) is dropped by
@@ -437,7 +437,7 @@ std::uint64_t journalKeyHash(const Assignment &assignment);
  *
  * Replay mode (resumed campaign with queued groups): batches are
  * served from the journal without touching the inner engines' noise
- * streams — except for the kernel-reservation fast-forward that keeps
+ * streams — except for the index-reservation fast-forward that keeps
  * their index cursors in lock-step with the original run. Divergence
  * between the re-driven search and the journal (different batch size
  * or assignment keys) latches the mismatch flag and fails the batch;
@@ -452,7 +452,7 @@ std::uint64_t journalKeyHash(const Assignment &assignment);
  * Publishes no kernels: callers above always take the batch path, so
  * every measurement is journaled.
  */
-class JournalingEngine : public PerformanceEngine
+class JournalingEngine : public EngineDecorator
 {
   public:
     /**
@@ -508,27 +508,8 @@ class JournalingEngine : public PerformanceEngine
      *  record is already on disk from the original run). */
     void checkpoint(const JournalCheckpoint &checkpoint);
 
-    double measure(const Assignment &assignment) override;
-    void measureBatch(std::span<const Assignment> batch,
-                      std::span<double> out) override;
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override;
     void measureBatchOutcome(std::span<const Assignment> batch,
                              std::span<MeasurementOutcome> out) override;
-
-    std::string name() const override { return inner_.name(); }
-
-    double
-    secondsPerMeasurement() const override
-    {
-        return inner_.secondsPerMeasurement();
-    }
-
-    void
-    collectStats(EngineStats &stats) const override
-    {
-        inner_.collectStats(stats);
-    }
 
   private:
     void serveReplayedBatch(std::span<const Assignment> batch,
@@ -537,7 +518,6 @@ class JournalingEngine : public PerformanceEngine
                    std::string detail);
     void failUnjournaledBatch(std::span<MeasurementOutcome> out);
 
-    PerformanceEngine &inner_;
     MeasurementJournal journal_;
     std::deque<JournalBatch> replayQueue_;
     std::uint32_t round_ = 0;

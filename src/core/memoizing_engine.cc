@@ -5,7 +5,6 @@
 
 #include "core/memoizing_engine.hh"
 
-#include <cmath>
 #include <limits>
 #include <string_view>
 #include <utility>
@@ -17,36 +16,9 @@ namespace statsched
 namespace core
 {
 
-double
-MemoizingEngine::measure(const Assignment &assignment)
-{
-    const std::string key = assignment.canonicalKey();
-    {
-        base::MutexLock lock(mutex_);
-        const auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            return it->second;
-        }
-    }
-
-    // Measure outside the lock; concurrent first measurements of the
-    // same class both run, the first insert wins and both values are
-    // draws of the same distribution.
-    const double value = inner_.measure(assignment);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    // Failed readings (NaN from a quarantined or errored outcome
-    // below) must not poison the cache: the class would stay invalid
-    // forever even after the inner engine recovers.
-    if (!std::isfinite(value))
-        return value;
-    base::MutexLock lock(mutex_);
-    return cache_.emplace(key, value).first->second;
-}
-
 void
-MemoizingEngine::measureBatch(std::span<const Assignment> batch,
-                              std::span<double> out)
+MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
+                                     std::span<MeasurementOutcome> out)
 {
     SCHED_REQUIRE(batch.size() == out.size(),
                   "batch/result size mismatch");
@@ -76,7 +48,7 @@ MemoizingEngine::measureBatch(std::span<const Assignment> batch,
             keys[i] = batch[i].canonicalKey();
             const auto cached = cache_.find(keys[i]);
             if (cached != cache_.end()) {
-                out[i] = cached->second;
+                out[i] = MeasurementOutcome::classify(cached->second);
                 ++hit_count;
                 continue;
             }
@@ -101,105 +73,14 @@ MemoizingEngine::measureBatch(std::span<const Assignment> batch,
         return;
 
     // Pass 2: one engine measurement per distinct uncached class.
-    std::vector<double> values(misses.size());
-    inner_.measureBatch(misses, values);
-
-    // Pass 3: fill results and publish to the cache, walking the
-    // misses in first-occurrence order. Failed readings (NaN from a
-    // quarantined or errored outcome below) are handed back but never
-    // cached — a poisoned entry would mark the class invalid forever.
-    base::MutexLock lock(mutex_);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (slot[i] != kHit)
-            out[i] = values[slot[i]];
-    }
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-        if (std::isfinite(values[m]))
-            cache_.emplace(std::move(keys[missItems[m]]), values[m]);
-    }
-}
-
-MeasurementOutcome
-MemoizingEngine::measureOutcome(const Assignment &assignment)
-{
-    const std::string key = assignment.canonicalKey();
-    {
-        base::MutexLock lock(mutex_);
-        const auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            return MeasurementOutcome::classify(it->second);
-        }
-    }
-
-    const MeasurementOutcome outcome =
-        inner_.measureOutcome(assignment);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (!outcome.ok())
-        return outcome;
-    base::MutexLock lock(mutex_);
-    MeasurementOutcome result = outcome;
-    result.value = cache_.emplace(key, outcome.value).first->second;
-    return result;
-}
-
-void
-MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
-                                     std::span<MeasurementOutcome> out)
-{
-    SCHED_REQUIRE(batch.size() == out.size(),
-                  "batch/result size mismatch");
-    if (batch.empty())
-        return;
-
-    // Same three-pass structure as the double channel; see
-    // measureBatch() for the slot/pending bookkeeping.
-    constexpr std::size_t kHit =
-        std::numeric_limits<std::size_t>::max();
-    std::vector<std::string> keys(batch.size());
-    std::vector<std::size_t> slot(batch.size(), kHit);
-    std::vector<Assignment> misses;
-    std::vector<std::size_t> missItems;
-    std::unordered_map<std::string_view, std::size_t> pending;
-    misses.reserve(batch.size());
-    missItems.reserve(batch.size());
-    pending.reserve(batch.size());
-    std::uint64_t hit_count = 0;
-
-    {
-        base::MutexLock lock(mutex_);
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            keys[i] = batch[i].canonicalKey();
-            const auto cached = cache_.find(keys[i]);
-            if (cached != cache_.end()) {
-                out[i] = MeasurementOutcome::classify(cached->second);
-                ++hit_count;
-                continue;
-            }
-            const auto [first, fresh] =
-                pending.try_emplace(keys[i], misses.size());
-            if (!fresh) {
-                slot[i] = first->second;
-                ++hit_count;
-                continue;
-            }
-            slot[i] = misses.size();
-            misses.push_back(batch[i]);
-            missItems.push_back(i);
-        }
-    }
-
-    hits_.fetch_add(hit_count, std::memory_order_relaxed);
-    misses_.fetch_add(misses.size(), std::memory_order_relaxed);
-    if (misses.empty())
-        return;
-
     std::vector<MeasurementOutcome> outcomes(misses.size());
     inner_.measureBatchOutcome(misses, outcomes);
 
-    // Duplicates of a failed first occurrence share the failed
-    // outcome; only successful readings are published to the cache,
-    // in first-occurrence order.
+    // Pass 3: fill results and publish to the cache, walking the
+    // misses in first-occurrence order. Duplicates of a failed first
+    // occurrence share the failed outcome; failed outcomes (a
+    // quarantined or errored reading below) are handed back but never
+    // cached — a poisoned entry would mark the class invalid forever.
     base::MutexLock lock(mutex_);
     for (std::size_t i = 0; i < batch.size(); ++i) {
         if (slot[i] != kHit)

@@ -21,8 +21,8 @@
  * Composition: place the memoizer *above* a ParallelEngine —
  * MemoizingEngine dedups the batch and forwards only the misses, so
  * the pool measures each distinct class once. The decorator is
- * thread-safe for concurrent measure() calls, but it deliberately
- * publishes no parallelKernel of its own.
+ * thread-safe for concurrent measurements, but it deliberately
+ * publishes no kernel of its own.
  */
 
 #ifndef STATSCHED_CORE_MEMOIZING_ENGINE_HH
@@ -44,53 +44,29 @@ namespace core
 /**
  * Decorator that caches measurements per canonical assignment class.
  */
-class MemoizingEngine : public PerformanceEngine
+class MemoizingEngine : public EngineDecorator
 {
   public:
     /** @param inner Engine to wrap; not owned. */
     explicit MemoizingEngine(PerformanceEngine &inner)
-        : inner_(inner)
+        : EngineDecorator(inner)
     {
     }
-
-    double measure(const Assignment &assignment) override;
 
     /**
      * Measures a batch with intra-batch deduplication: each canonical
      * class present in the batch (or the cache) is forwarded to the
      * wrapped engine at most once, in first-occurrence order — so for
      * a fixed input batch the miss sub-batch, and therefore the
-     * results, are deterministic.
-     */
-    void measureBatch(std::span<const Assignment> batch,
-                      std::span<double> out) override;
-
-    /**
-     * Failure-aware single measurement: cache hits replay as Ok
-     * outcomes; only successful fresh readings enter the cache, so a
-     * transient failure is retried on the next request instead of
+     * results, are deterministic. Cache hits replay as Ok outcomes;
+     * duplicates of a failed first occurrence share its failed
+     * outcome, and only successful fresh readings enter the cache, so
+     * a transient failure is retried on the next request instead of
      * being replayed forever.
-     */
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override;
-
-    /**
-     * Outcome analogue of measureBatch(): same intra-batch
-     * deduplication (duplicates of a failed first occurrence share
-     * its failed outcome), but failed outcomes are never cached
-     * across batches.
      */
     void measureBatchOutcome(
         std::span<const Assignment> batch,
         std::span<MeasurementOutcome> out) override;
-
-    std::string name() const override { return inner_.name(); }
-
-    double
-    secondsPerMeasurement() const override
-    {
-        return inner_.secondsPerMeasurement();
-    }
 
     void
     collectStats(EngineStats &stats) const override
@@ -125,7 +101,6 @@ class MemoizingEngine : public PerformanceEngine
     void clear();
 
   private:
-    PerformanceEngine &inner_;
     mutable base::Mutex mutex_{"core::MemoizingEngine::mutex_"};
     /** Measured value per canonical class. */
     std::unordered_map<std::string, double> cache_

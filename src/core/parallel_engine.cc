@@ -6,7 +6,6 @@
 #include "core/parallel_engine.hh"
 
 #include <exception>
-#include <limits>
 
 #include "base/check.hh"
 
@@ -17,62 +16,8 @@ namespace core
 
 ParallelEngine::ParallelEngine(PerformanceEngine &inner,
                                unsigned threads)
-    : inner_(inner), pool_(threads)
+    : EngineDecorator(inner), pool_(threads)
 {
-}
-
-void
-ParallelEngine::measureBatch(std::span<const Assignment> batch,
-                             std::span<double> out)
-{
-    SCHED_REQUIRE(batch.size() == out.size(),
-                  "batch/result size mismatch");
-    if (batch.empty())
-        return;
-
-    BatchKernel kernel = inner_.parallelKernel(batch.size());
-    if (!kernel) {
-        // The wrapped engine cannot be evaluated concurrently.
-        inner_.measureBatch(batch, out);
-        return;
-    }
-
-    const Assignment *items = batch.data();
-    double *results = out.data();
-
-    if (pool_.threads() == 1) {
-        // Degenerate single-thread configuration: skip the pool
-        // entirely and run the kernel inline, with the same per-item
-        // containment semantics as the worker path.
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            try {
-                results[i] = kernel(items[i], i);
-            } catch (const std::exception &) {
-                results[i] =
-                    std::numeric_limits<double>::quiet_NaN();
-            }
-        }
-        return;
-    }
-    pool_.run(batch.size(),
-              base::WorkerPool::defaultChunk(batch.size(),
-                                             pool_.threads()),
-              [&kernel, items, results](std::size_t begin,
-                                        std::size_t end) {
-                  // A contract violation (or any error) inside a
-                  // kernel must not unwind through the worker pool —
-                  // that would std::terminate the process. Failed
-                  // items degrade to NaN, which downstream consumers
-                  // classify as invalid readings.
-                  for (std::size_t i = begin; i < end; ++i) {
-                      try {
-                          results[i] = kernel(items[i], i);
-                      } catch (const std::exception &) {
-                          results[i] = std::numeric_limits<
-                              double>::quiet_NaN();
-                      }
-                  }
-              });
 }
 
 void
@@ -86,6 +31,7 @@ ParallelEngine::measureBatchOutcome(std::span<const Assignment> batch,
 
     OutcomeKernel kernel = inner_.outcomeKernel(batch.size());
     if (!kernel) {
+        // The wrapped engine cannot be evaluated concurrently.
         inner_.measureBatchOutcome(batch, out);
         return;
     }
@@ -94,7 +40,9 @@ ParallelEngine::measureBatchOutcome(std::span<const Assignment> batch,
     MeasurementOutcome *results = out.data();
 
     if (pool_.threads() == 1) {
-        // See measureBatch(): inline bypass for one thread.
+        // Degenerate single-thread configuration: skip the pool
+        // entirely and run the kernel inline, with the same per-item
+        // containment semantics as the worker path.
         for (std::size_t i = 0; i < batch.size(); ++i) {
             try {
                 results[i] = kernel(items[i], i);
@@ -110,10 +58,12 @@ ParallelEngine::measureBatchOutcome(std::span<const Assignment> batch,
                                              pool_.threads()),
               [&kernel, items, results](std::size_t begin,
                                         std::size_t end) {
-                  // See measureBatch(): contain per-item failures on
-                  // the worker thread. Here they surface as
-                  // structured Errored outcomes, so a resilient
-                  // layer above can retry or quarantine the class.
+                  // A contract violation (or any error) inside a
+                  // kernel must not unwind through the worker pool —
+                  // that would std::terminate the process. Failed
+                  // items surface as structured Errored outcomes, so
+                  // a resilient layer above can retry or quarantine
+                  // the class.
                   for (std::size_t i = begin; i < end; ++i) {
                       try {
                           results[i] = kernel(items[i], i);

@@ -5,17 +5,17 @@
  * The paper's experimentation cost is thousands of independent
  * measurements (Section 5.3); the simulated engine is pure, so a
  * batch of assignments is embarrassingly parallel. ParallelEngine is
- * a decorator that fans measureBatch() out over a persistent
+ * a decorator that fans measureBatchOutcome() out over a persistent
  * base::WorkerPool of std::thread workers pulling fixed-size chunks
  * from an atomic work queue.
  *
- * Determinism: the decorator only parallelizes engines that publish a
- * parallelKernel() — a pure function of (assignment, batch index) —
+ * Determinism: the decorator only parallelizes engines that publish
+ * an outcomeKernel() — a pure function of (assignment, batch index) —
  * and every worker writes out[i] for the indices it claims, so the
  * result vector is bit-identical to the serial path regardless of
  * thread count or scheduling. Engines without a kernel (e.g.
  * hw::PinnedThreadEngine, which owns the physical machine) fall back
- * to the wrapped serial measureBatch().
+ * to the wrapped serial measureBatchOutcome().
  */
 
 #ifndef STATSCHED_CORE_PARALLEL_ENGINE_HH
@@ -32,12 +32,12 @@ namespace core
 /**
  * Decorator that measures batches on a worker pool.
  */
-class ParallelEngine : public PerformanceEngine
+class ParallelEngine : public EngineDecorator
 {
   public:
     /**
      * @param inner   Engine to wrap; not owned. Parallel speedup
-     *                requires inner.parallelKernel() to be non-empty.
+     *                requires inner.outcomeKernel() to be non-empty.
      * @param threads Total threads used per batch including the
      *                caller; 0 selects the hardware concurrency.
      */
@@ -47,59 +47,26 @@ class ParallelEngine : public PerformanceEngine
     ParallelEngine(const ParallelEngine &) = delete;
     ParallelEngine &operator=(const ParallelEngine &) = delete;
 
-    /** Single measurements bypass the pool. */
-    double
-    measure(const Assignment &assignment) override
-    {
-        return inner_.measure(assignment);
-    }
-
-    void measureBatch(std::span<const Assignment> batch,
-                      std::span<double> out) override;
-
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override
-    {
-        return inner_.measureOutcome(assignment);
-    }
-
-    /** Outcome batches fan out exactly like double batches. */
+    /**
+     * Measures the batch on the pool. An item whose kernel throws
+     * (e.g. a contract violation on a worker thread) becomes an
+     * Errored outcome instead of unwinding through the pool.
+     */
     void measureBatchOutcome(
         std::span<const Assignment> batch,
         std::span<MeasurementOutcome> out) override;
 
     /** Transparent: exposes the wrapped engine's kernel unchanged. */
-    BatchKernel
-    parallelKernel(std::size_t batchSize) override
-    {
-        return inner_.parallelKernel(batchSize);
-    }
-
     OutcomeKernel
     outcomeKernel(std::size_t batchSize) override
     {
         return inner_.outcomeKernel(batchSize);
     }
 
-    std::string name() const override { return inner_.name(); }
-
-    double
-    secondsPerMeasurement() const override
-    {
-        return inner_.secondsPerMeasurement();
-    }
-
-    void
-    collectStats(EngineStats &stats) const override
-    {
-        inner_.collectStats(stats);
-    }
-
     /** @return threads used per batch (callers + workers). */
     unsigned threads() const { return pool_.threads(); }
 
   private:
-    PerformanceEngine &inner_;
     base::WorkerPool pool_;
 };
 

@@ -14,9 +14,10 @@
  * (estimator, iterative algorithm, local search, baselines) naturally
  * produces whole batches of assignments to measure. Engines that can
  * evaluate items of a batch independently publish a *batch kernel*
- * (parallelKernel()), which core::ParallelEngine fans out over a
- * worker pool; engines without one (e.g. the pinned-thread executor,
- * which owns the physical machine) fall back to the serial loop.
+ * (outcomeKernel(), or parallelKernel() for a double-channel leaf),
+ * which core::ParallelEngine fans out over a worker pool; engines
+ * without one (e.g. the pinned-thread executor, which owns the
+ * physical machine) fall back to the serial loop.
  *
  * Failure channel: real measurements can fail — a pinned pipeline
  * thread hangs, a counter wraps, a reading comes back NaN. The
@@ -25,13 +26,17 @@
  * MeasurementOutcome per item, so failure-aware consumers (the
  * estimator, the iterative algorithm) can exclude failed readings
  * from the statistical sample instead of corrupting the tail fit.
- * Engines that only implement the double channel get the outcome
- * channel for free: non-finite values classify as failed.
+ * Leaf engines that only implement the double channel get the
+ * outcome channel for free: non-finite values classify as failed.
  *
- * Decorators (MeteredEngine here, core::ParallelEngine,
- * core::MemoizingEngine, core::FaultInjectingEngine and
- * core::ResilientEngine in their own headers) compose freely; each
- * contributes its counters to one EngineStats through collectStats().
+ * Decorators derive from EngineDecorator and implement the outcome
+ * channel only; their double channel is its valueOrNaN() view, derived
+ * once in the base. They compose freely (MeteredEngine here,
+ * core::ParallelEngine, core::MemoizingEngine,
+ * core::FaultInjectingEngine, core::ResilientEngine,
+ * core::JournalingEngine and core::ShardedEngine in their own
+ * headers); each contributes its counters to one EngineStats through
+ * collectStats().
  *
  * Sanctioned decorator ordering (outermost first):
  *
@@ -365,10 +370,12 @@ class PerformanceEngine
      * core::ShardedEngine) fast-forward the stack below them past
      * measurements that were already performed elsewhere. The default
      * requests and discards an outcome kernel, which reserves the
-     * indices per the outcomeKernel() contract; engines without
-     * kernels keep no per-index state, so the discarded empty kernel
-     * is the correct no-op. Engines that track indices without
-     * publishing kernels must override.
+     * indices per the outcomeKernel() contract. That default serves
+     * leaf engines; a kernel-less leaf that tracks indices must
+     * override it. Decorators forward the reservation to the engine
+     * they wrap (EngineDecorator), so it reaches the per-index state
+     * below a decorator that publishes no kernel; one that owns a
+     * cursor of its own advances it and forwards.
      */
     virtual void
     reserveMeasurementIndices(std::size_t count)
@@ -402,45 +409,118 @@ class PerformanceEngine
 };
 
 /**
+ * Base of every engine that wraps another one.
+ *
+ * A decorator implements the outcome channel only: it must provide
+ * measureBatchOutcome() and may override measureOutcome() (a batch of
+ * one by default) and outcomeKernel() (none by default). The double
+ * channel — measure(), measureBatch(), parallelKernel() — is derived
+ * here, once, as the valueOrNaN() view of the outcome channel, and is
+ * final: a decorator's two channels cannot disagree.
+ *
+ * name(), secondsPerMeasurement(), collectStats() and
+ * reserveMeasurementIndices() forward to the wrapped engine. A
+ * decorator that owns per-index state of its own (an index cursor)
+ * overrides the reservation; one that keeps counters overrides
+ * collectStats() and forwards from there.
+ */
+class EngineDecorator : public PerformanceEngine
+{
+  public:
+    double
+    measure(const Assignment &assignment) final
+    {
+        return measureOutcome(assignment).valueOrNaN();
+    }
+
+    void
+    measureBatch(std::span<const Assignment> batch,
+                 std::span<double> out) final
+    {
+        SCHED_REQUIRE(batch.size() == out.size(),
+                      "batch/result size mismatch");
+        std::vector<MeasurementOutcome> outcomes(batch.size());
+        measureBatchOutcome(batch, outcomes);
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            out[i] = outcomes[i].valueOrNaN();
+    }
+
+    BatchKernel
+    parallelKernel(std::size_t batchSize) final
+    {
+        OutcomeKernel kernel = outcomeKernel(batchSize);
+        if (!kernel)
+            return {};
+        return [kernel](const Assignment &a, std::size_t i) {
+            return kernel(a, i).valueOrNaN();
+        };
+    }
+
+    MeasurementOutcome
+    measureOutcome(const Assignment &assignment) override
+    {
+        MeasurementOutcome outcome;
+        measureBatchOutcome(std::span<const Assignment>(&assignment, 1),
+                            std::span<MeasurementOutcome>(&outcome, 1));
+        return outcome;
+    }
+
+    void measureBatchOutcome(
+        std::span<const Assignment> batch,
+        std::span<MeasurementOutcome> out) override = 0;
+
+    /** Publishes no kernel unless the decorator opts in. */
+    OutcomeKernel
+    outcomeKernel(std::size_t batchSize) override
+    {
+        (void)batchSize;
+        return {};
+    }
+
+    void
+    reserveMeasurementIndices(std::size_t count) override
+    {
+        inner_.reserveMeasurementIndices(count);
+    }
+
+    std::string name() const override { return inner_.name(); }
+
+    double
+    secondsPerMeasurement() const override
+    {
+        return inner_.secondsPerMeasurement();
+    }
+
+    void
+    collectStats(EngineStats &stats) const override
+    {
+        inner_.collectStats(stats);
+    }
+
+  protected:
+    /** @param inner Engine to wrap; not owned. */
+    explicit EngineDecorator(PerformanceEngine &inner) : inner_(inner) {}
+
+    PerformanceEngine &inner_;
+};
+
+/**
  * Decorator that counts measurements and batches and accumulates the
  * modeled experimentation time of the wrapped engine. All counters
  * are atomic, so the decorator may sit on either side of a
  * core::ParallelEngine.
  */
-class MeteredEngine : public PerformanceEngine
+class MeteredEngine : public EngineDecorator
 {
   public:
     /** @param inner Engine to wrap; not owned. */
-    explicit MeteredEngine(PerformanceEngine &inner) : inner_(inner) {}
-
-    double
-    measure(const Assignment &assignment) override
+    explicit MeteredEngine(PerformanceEngine &inner)
+        : EngineDecorator(inner)
     {
-        count_.fetch_add(1, std::memory_order_relaxed);
-        return inner_.measure(assignment);
     }
 
-    void
-    measureBatch(std::span<const Assignment> batch,
-                 std::span<double> out) override
-    {
-        count_.fetch_add(batch.size(), std::memory_order_relaxed);
-        batches_.fetch_add(1, std::memory_order_relaxed);
-        inner_.measureBatch(batch, out);
-    }
-
-    BatchKernel
-    parallelKernel(std::size_t batchSize) override
-    {
-        BatchKernel kernel = inner_.parallelKernel(batchSize);
-        if (!kernel)
-            return {};
-        return [this, kernel](const Assignment &a, std::size_t i) {
-            count_.fetch_add(1, std::memory_order_relaxed);
-            return kernel(a, i);
-        };
-    }
-
+    /** Counts one measurement and no batch: a batch of one would add
+     *  to EngineStats::batches, which the CLI reports. */
     MeasurementOutcome
     measureOutcome(const Assignment &assignment) override
     {
@@ -467,14 +547,6 @@ class MeteredEngine : public PerformanceEngine
             count_.fetch_add(1, std::memory_order_relaxed);
             return kernel(a, i);
         };
-    }
-
-    std::string name() const override { return inner_.name(); }
-
-    double
-    secondsPerMeasurement() const override
-    {
-        return inner_.secondsPerMeasurement();
     }
 
     void
@@ -506,7 +578,6 @@ class MeteredEngine : public PerformanceEngine
     }
 
   private:
-    PerformanceEngine &inner_;
     std::atomic<std::uint64_t> count_{0};
     std::atomic<std::uint64_t> batches_{0};
 };

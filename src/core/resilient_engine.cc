@@ -36,7 +36,7 @@ medianOf(std::vector<double> values)
 
 ResilientEngine::ResilientEngine(PerformanceEngine &inner,
                                  const ResilientOptions &options)
-    : inner_(inner), options_(options)
+    : EngineDecorator(inner), options_(options)
 {
     SCHED_REQUIRE(options.maxAttempts >= 1,
                   "need at least one attempt");
@@ -233,33 +233,6 @@ ResilientEngine::measureBatchOutcome(std::span<const Assignment> batch,
     screenOutliers(sub, outcomes);
     for (std::size_t k = 0; k < live.size(); ++k)
         out[live[k]] = outcomes[k];
-}
-
-MeasurementOutcome
-ResilientEngine::measureOutcome(const Assignment &assignment)
-{
-    MeasurementOutcome outcome;
-    measureBatchOutcome(std::span(&assignment, 1),
-                        std::span(&outcome, 1));
-    return outcome;
-}
-
-double
-ResilientEngine::measure(const Assignment &assignment)
-{
-    return measureOutcome(assignment).valueOrNaN();
-}
-
-void
-ResilientEngine::measureBatch(std::span<const Assignment> batch,
-                              std::span<double> out)
-{
-    SCHED_REQUIRE(batch.size() == out.size(),
-                  "batch/result size mismatch");
-    std::vector<MeasurementOutcome> outcomes(batch.size());
-    measureBatchOutcome(batch, outcomes);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        out[i] = outcomes[i].valueOrNaN();
 }
 
 void

@@ -86,7 +86,7 @@ struct ResilientOptions
  * Decorator that retries, screens and quarantines measurements of an
  * unreliable wrapped engine.
  */
-class ResilientEngine : public PerformanceEngine
+class ResilientEngine : public EngineDecorator
 {
   public:
     /**
@@ -96,27 +96,10 @@ class ResilientEngine : public PerformanceEngine
     ResilientEngine(PerformanceEngine &inner,
                     const ResilientOptions &options = {});
 
-    double measure(const Assignment &assignment) override;
-
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override;
-
+    /** Deliberately publishes no kernels: retries are stateful. */
     void measureBatchOutcome(
         std::span<const Assignment> batch,
         std::span<MeasurementOutcome> out) override;
-
-    void measureBatch(std::span<const Assignment> batch,
-                      std::span<double> out) override;
-
-    /** Deliberately publishes no kernels: retries are stateful. */
-
-    std::string name() const override { return inner_.name(); }
-
-    double
-    secondsPerMeasurement() const override
-    {
-        return inner_.secondsPerMeasurement();
-    }
 
     /**
      * Contributes retries, quarantine count and the modeled cost of
@@ -159,7 +142,6 @@ class ResilientEngine : public PerformanceEngine
     /** Records a full attempt exhaustion; quarantines at the limit. */
     void recordExhaustion(const Assignment &assignment);
 
-    PerformanceEngine &inner_;
     const ResilientOptions options_;
 
     mutable base::Mutex mutex_{"core::ResilientEngine::mutex_"};

@@ -81,7 +81,8 @@ addConvicted(std::vector<std::size_t> &convicted, std::size_t slot)
 ShardedEngine::ShardedEngine(PerformanceEngine &inner,
                              ShardBackendFactory factory,
                              const ShardedOptions &options)
-    : inner_(inner), factory_(std::move(factory)), options_(options)
+    : EngineDecorator(inner), factory_(std::move(factory)),
+      options_(options)
 {
     SCHED_REQUIRE(options_.clock != nullptr,
                   "sharded engine needs a clock");
@@ -109,33 +110,6 @@ ShardedEngine::ShardedEngine(PerformanceEngine &inner,
 }
 
 ShardedEngine::~ShardedEngine() { shutdownWorkers(); }
-
-double
-ShardedEngine::measure(const Assignment &assignment)
-{
-    return measureOutcome(assignment).valueOrNaN();
-}
-
-MeasurementOutcome
-ShardedEngine::measureOutcome(const Assignment &assignment)
-{
-    MeasurementOutcome outcome;
-    measureBatchOutcome(std::span<const Assignment>(&assignment, 1),
-                        std::span<MeasurementOutcome>(&outcome, 1));
-    return outcome;
-}
-
-void
-ShardedEngine::measureBatch(std::span<const Assignment> batch,
-                            std::span<double> out)
-{
-    SCHED_REQUIRE(batch.size() == out.size(),
-                  "batch/result size mismatch");
-    std::vector<MeasurementOutcome> outcomes(batch.size());
-    measureBatchOutcome(batch, outcomes);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        out[i] = outcomes[i].valueOrNaN();
-}
 
 void
 ShardedEngine::reserveMeasurementIndices(std::size_t count)
@@ -615,8 +589,8 @@ ShardedEngine::localOutcome(const Assignment &assignment,
     ensureLocalKernel(base, batchSize);
     if (localKernel_)
         return localKernel_(assignment, i);
-    // Kernel-less engines keep no per-index state (see
-    // reserveMeasurementIndices()), so a direct call is safe.
+    // A kernel-less inner stack measures the hole directly; only a
+    // kernel pins an item to its original index.
     return inner_.measureOutcome(assignment);
 }
 

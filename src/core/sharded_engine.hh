@@ -198,7 +198,7 @@ struct ShardedOptions
  * PerformanceEngine decorator fanning batches out to shard workers;
  * see the file comment for the contract.
  */
-class ShardedEngine : public PerformanceEngine
+class ShardedEngine : public EngineDecorator
 {
   public:
     /**
@@ -215,11 +215,7 @@ class ShardedEngine : public PerformanceEngine
 
     ~ShardedEngine() override;
 
-    double measure(const Assignment &assignment) override;
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override;
-    void measureBatch(std::span<const Assignment> batch,
-                      std::span<double> out) override;
+    /** Publishes no kernels: fan-out happens at batch granularity. */
     void
     measureBatchOutcome(std::span<const Assignment> batch,
                         std::span<MeasurementOutcome> out) override;
@@ -227,16 +223,6 @@ class ShardedEngine : public PerformanceEngine
     /** Advances the global cursor without measuring (journal replay);
      *  workers and the inner engine fast-forward lazily. */
     void reserveMeasurementIndices(std::size_t count) override;
-
-    /** Publishes no kernels: fan-out happens at batch granularity. */
-
-    std::string name() const override { return inner_.name(); }
-
-    double
-    secondsPerMeasurement() const override
-    {
-        return inner_.secondsPerMeasurement();
-    }
 
     /** Contributes the shard health counters, then forwards to the
      *  inner engine. Worker-side solver counters are out of process
@@ -407,7 +393,6 @@ class ShardedEngine : public PerformanceEngine
     std::size_t quarantinedShardCountLocked() const
         SCHED_REQUIRES(mutex_);
 
-    PerformanceEngine &inner_;
     const ShardBackendFactory factory_;
     const ShardedOptions options_;
 

@@ -290,6 +290,17 @@ PinnedThreadEngine::measureOutcome(const core::Assignment &assignment)
 }
 
 void
+PinnedThreadEngine::measureBatchOutcome(
+    std::span<const core::Assignment> batch,
+    std::span<core::MeasurementOutcome> out)
+{
+    SCHED_REQUIRE(batch.size() == out.size(),
+                  "batch/result size mismatch");
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        out[i] = measureOutcome(batch[i]);
+}
+
+void
 PinnedThreadEngine::collectStats(core::EngineStats &stats) const
 {
     const std::uint64_t timeouts =

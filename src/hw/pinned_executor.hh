@@ -92,6 +92,12 @@ class PinnedThreadEngine : public core::PerformanceEngine
     core::MeasurementOutcome
     measureOutcome(const core::Assignment &assignment) override;
 
+    /** Measures the batch one supervised run at a time, so a reaped
+     *  item keeps its TimedOut status. */
+    void measureBatchOutcome(
+        std::span<const core::Assignment> batch,
+        std::span<core::MeasurementOutcome> out) override;
+
     std::string name() const override;
 
     double

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "base/clock.hh"
+#include "core/fault_injection.hh"
 #include "core/health.hh"
 #include "core/sampler.hh"
 #include "core/shard_worker.hh"
@@ -69,85 +70,6 @@ struct SlotScript
     bool garbageValues = false;
 };
 
-/** Test-local Byzantine decorator, mirroring the worker binary's
- *  --garbage-values mode: valid protocol, wrong value bits. */
-class GarbageEngine : public core::PerformanceEngine
-{
-  public:
-    explicit GarbageEngine(core::PerformanceEngine &inner)
-        : inner_(inner)
-    {
-    }
-
-    double
-    measure(const Assignment &assignment) override
-    {
-        return measureOutcome(assignment).valueOrNaN();
-    }
-
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override
-    {
-        return corrupt(inner_.measureOutcome(assignment));
-    }
-
-    void
-    measureBatchOutcome(std::span<const Assignment> batch,
-                        std::span<MeasurementOutcome> out) override
-    {
-        inner_.measureBatchOutcome(batch, out);
-        for (MeasurementOutcome &o : out)
-            o = corrupt(o);
-    }
-
-    core::OutcomeKernel
-    outcomeKernel(std::size_t batchSize) override
-    {
-        core::OutcomeKernel kernel = inner_.outcomeKernel(batchSize);
-        if (!kernel)
-            return kernel;
-        return [kernel](const Assignment &assignment,
-                        std::size_t index) {
-            return corrupt(kernel(assignment, index));
-        };
-    }
-
-    void
-    reserveMeasurementIndices(std::size_t count) override
-    {
-        inner_.reserveMeasurementIndices(count);
-    }
-
-    std::string name() const override { return inner_.name(); }
-
-    double
-    secondsPerMeasurement() const override
-    {
-        return inner_.secondsPerMeasurement();
-    }
-
-    void
-    collectStats(core::EngineStats &stats) const override
-    {
-        inner_.collectStats(stats);
-    }
-
-  private:
-    static MeasurementOutcome
-    corrupt(MeasurementOutcome outcome)
-    {
-        if (!outcome.ok())
-            return outcome;
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &outcome.value, sizeof bits);
-        bits ^= 0xffffffULL;
-        std::memcpy(&outcome.value, &bits, sizeof bits);
-        return outcome;
-    }
-
-    core::PerformanceEngine &inner_;
-};
-
 /**
  * In-memory ShardBackend: a real ShardWorker over its own fresh
  * simulated engine, so protocol, window alignment and evaluation are
@@ -173,7 +95,8 @@ class LoopbackBackend : public ShardBackend
         engine_ = std::make_unique<sim::SimulatedEngine>(workload());
         core::PerformanceEngine *engine = engine_.get();
         if (script_.garbageValues) {
-            garbage_ = std::make_unique<GarbageEngine>(*engine);
+            garbage_ =
+                std::make_unique<core::ValueCorruptingEngine>(*engine);
             engine = garbage_.get();
         }
         worker_ = std::make_unique<core::ShardWorker>(
@@ -220,7 +143,7 @@ class LoopbackBackend : public ShardBackend
     base::ManualClock &clock_;
     SlotScript script_;
     std::unique_ptr<sim::SimulatedEngine> engine_;
-    std::unique_ptr<GarbageEngine> garbage_;
+    std::unique_ptr<core::ValueCorruptingEngine> garbage_;
     std::unique_ptr<core::ShardWorker> worker_;
     core::ShardFrameParser parser_;
     int delivered_ = 0;

@@ -101,6 +101,17 @@ TEST(PinnedExecutor, WatchdogReapsAWedgedStage)
     engine.collectStats(stats);
     EXPECT_EQ(stats.failures, 1u);
     EXPECT_NEAR(stats.modeledSeconds, 0.150, 1e-9);
+
+    // A batch of one reaped by the watchdog keeps its TimedOut status
+    // on the batch path too, instead of degrading to Invalid.
+    options.testHangRelease->store(false, std::memory_order_release);
+    core::MeasurementOutcome batched;
+    engine.measureBatchOutcome(std::span<const Assignment>(&a, 1),
+                               std::span<core::MeasurementOutcome>(
+                                   &batched, 1));
+    EXPECT_EQ(batched.status, core::MeasureStatus::TimedOut);
+    EXPECT_EQ(engine.timeoutCount(), 2u);
+    options.testHangRelease->store(true, std::memory_order_release);
 }
 
 TEST(PinnedExecutor, WatchdogDisabledKeepsLegacyJoin)

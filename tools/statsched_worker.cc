@@ -42,7 +42,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,92 +81,6 @@ writeFrames(const std::vector<std::uint8_t> &bytes)
     }
     return true;
 }
-
-/**
- * Byzantine decorator: measures honestly through the inner engine,
- * then corrupts the value bits of every Ok outcome. The corruption
- * (XOR of low mantissa bits) keeps the value finite, plausible and
- * deterministic — indistinguishable from an honest reading without a
- * second opinion, which is exactly what the coordinator's audit
- * duplication provides.
- */
-class GarbageValuesEngine : public core::PerformanceEngine
-{
-  public:
-    explicit GarbageValuesEngine(core::PerformanceEngine &inner)
-        : inner_(inner)
-    {
-    }
-
-    double
-    measure(const core::Assignment &assignment) override
-    {
-        return measureOutcome(assignment).valueOrNaN();
-    }
-
-    core::MeasurementOutcome
-    measureOutcome(const core::Assignment &assignment) override
-    {
-        return corrupt(inner_.measureOutcome(assignment));
-    }
-
-    void
-    measureBatchOutcome(
-        std::span<const core::Assignment> batch,
-        std::span<core::MeasurementOutcome> out) override
-    {
-        inner_.measureBatchOutcome(batch, out);
-        for (core::MeasurementOutcome &outcome : out)
-            outcome = corrupt(outcome);
-    }
-
-    core::OutcomeKernel
-    outcomeKernel(std::size_t batchSize) override
-    {
-        core::OutcomeKernel kernel = inner_.outcomeKernel(batchSize);
-        if (!kernel)
-            return kernel;
-        return [kernel](const core::Assignment &assignment,
-                        std::size_t index) {
-            return corrupt(kernel(assignment, index));
-        };
-    }
-
-    void
-    reserveMeasurementIndices(std::size_t count) override
-    {
-        inner_.reserveMeasurementIndices(count);
-    }
-
-    std::string name() const override { return inner_.name(); }
-
-    double
-    secondsPerMeasurement() const override
-    {
-        return inner_.secondsPerMeasurement();
-    }
-
-    void
-    collectStats(core::EngineStats &stats) const override
-    {
-        inner_.collectStats(stats);
-    }
-
-  private:
-    static core::MeasurementOutcome
-    corrupt(core::MeasurementOutcome outcome)
-    {
-        if (!outcome.ok())
-            return outcome;
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &outcome.value, sizeof bits);
-        bits ^= 0xffffffULL; // low mantissa: finite, same magnitude
-        std::memcpy(&outcome.value, &bits, sizeof bits);
-        return outcome;
-    }
-
-    core::PerformanceEngine &inner_;
-};
 
 sim::Benchmark
 parseBenchmark(const std::string &name)
@@ -253,9 +166,10 @@ main(int argc, char **argv)
             *engine, faults);
         engine = faulty.get();
     }
-    std::unique_ptr<GarbageValuesEngine> garbage;
+    std::unique_ptr<core::ValueCorruptingEngine> garbage;
     if (args.flag("garbage-values")) {
-        garbage = std::make_unique<GarbageValuesEngine>(*engine);
+        garbage =
+            std::make_unique<core::ValueCorruptingEngine>(*engine);
         engine = garbage.get();
     }
 
