@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "base/worker_pool.hh"
 #include "core/sampler.hh"
 #include "net/aho_corasick.hh"
 #include "net/flow_table.hh"
@@ -48,6 +49,21 @@ BM_SamplerDrawFisherYates(benchmark::State &state)
 }
 BENCHMARK(BM_SamplerDrawFisherYates)->Arg(6)->Arg(24)->Arg(48)
     ->Arg(64);
+
+void
+BM_SamplerDrawSamplePool(benchmark::State &state)
+{
+    // One 3,000-assignment round of 24 tasks, the bulk-aho24 campaign's
+    // request, through the paper's rejection loop on a pool of
+    // range(0) threads (1 = the serial loop).
+    base::WorkerPool pool(static_cast<unsigned>(state.range(0)));
+    core::RandomAssignmentSampler sampler(
+        core::Topology::ultraSparcT2(), 24, 1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sampler.drawSample(3000, &pool));
+}
+BENCHMARK(BM_SamplerDrawSamplePool)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void
 BM_ContentionSolve(benchmark::State &state)

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -44,14 +45,31 @@ class WorkerPool
     /** Task over a half-open index chunk [begin, end). */
     using ChunkTask = std::function<void(std::size_t, std::size_t)>;
 
-    /** Maps 0 to the hardware concurrency (at least 1). */
+    /** Maps 0 to defaultThreads() of the hardware concurrency. */
     static unsigned
     resolveThreads(unsigned requested)
     {
         if (requested != 0)
             return requested;
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw == 0 ? 1 : hw;
+        return defaultThreads(std::thread::hardware_concurrency());
+    }
+
+    /**
+     * @return the pool size for `hw` hardware threads (0 = unknown):
+     *         all but one from three up, so that the rest of the
+     *         machine's work runs beside the pool rather than in a
+     *         pool thread's time slice. On a 4-cpu host, a 24-task
+     *         campaign at 4 threads was preempted 3-6 times and a
+     *         one-cpu busy loop slowed it by 25-30%; at 3 threads it
+     *         was preempted 0-1 times and the busy loop did not slow
+     *         it (METHOD.md §2).
+     */
+    static unsigned
+    defaultThreads(unsigned hw)
+    {
+        if (hw == 0)
+            return 1;
+        return hw >= 3 ? hw - 1 : hw;
     }
 
     /**
@@ -68,7 +86,7 @@ class WorkerPool
 
     /**
      * @param threads Total threads participating in each run including
-     *                the caller; 0 selects the hardware concurrency.
+     *                the caller; 0 selects defaultThreads().
      */
     explicit WorkerPool(unsigned threads = 0)
         : threads_(resolveThreads(threads))
@@ -134,6 +152,35 @@ class WorkerPool
         // Clear the published job so destruction cannot race a worker
         // that never woke for it.
         job_.reset();
+    }
+
+    /**
+     * run() for a task that may throw. An exception must never unwind
+     * a pool thread, so each chunk's exception is caught where it is
+     * raised; once every chunk has finished, the one from the lowest
+     * chunk is rethrown on the caller. For a task that stops a chunk
+     * at its first failure, that is the exception a serial loop over
+     * [0, n) would have raised.
+     */
+    void
+    runRethrowing(std::size_t n, std::size_t chunk,
+                  const ChunkTask &task)
+    {
+        chunk = std::max<std::size_t>(chunk, 1);
+        std::vector<std::exception_ptr> errors((n + chunk - 1) / chunk);
+        run(n, chunk,
+            [&task, &errors, chunk](std::size_t begin,
+                                    std::size_t end) {
+                try {
+                    task(begin, end);
+                } catch (...) {
+                    errors[begin / chunk] = std::current_exception();
+                }
+            });
+        for (const std::exception_ptr &error : errors) {
+            if (error)
+                std::rethrow_exception(error);
+        }
     }
 
   private:

@@ -93,7 +93,7 @@ runCampaign(PerformanceEngine &engine, const Topology &topology,
     }
     std::optional<MemoizingEngine> memoizing;
     if (options.memoize) {
-        memoizing.emplace(*stack);
+        memoizing.emplace(*stack, options.iterative.pool);
         stack = &*memoizing;
     }
     MeteredEngine metered(*stack);

@@ -58,7 +58,8 @@ namespace core
 struct CampaignOptions
 {
     /** Parameters of the underlying iterative search. The runner owns
-     *  stopCheck; anything the caller sets there is ignored. */
+     *  stopCheck; anything the caller sets there is ignored. Its pool
+     *  also computes the memo's keys. */
     IterativeOptions iterative;
 
     /** Journal file; empty disables journaling (and resume). */

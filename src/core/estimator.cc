@@ -16,8 +16,9 @@ namespace core
 OptimalPerformanceEstimator::OptimalPerformanceEstimator(
     PerformanceEngine &engine, const Topology &topology,
     std::uint32_t tasks, std::uint64_t seed,
-    const stats::PotOptions &options, bool warmStartFits)
-    : engine_(engine), sampler_(topology, tasks, seed),
+    const stats::PotOptions &options, bool warmStartFits,
+    base::WorkerPool *pool)
+    : engine_(engine), sampler_(topology, tasks, seed), pool_(pool),
       options_(options), accumulator_(options, warmStartFits)
 {
 }
@@ -28,7 +29,7 @@ OptimalPerformanceEstimator::extend(std::size_t n)
     // Generate-then-batch: draw the whole extension first (the
     // sampler stream is identical to the interleaved path), then hand
     // the engine one batch it can parallelize or deduplicate.
-    std::vector<Assignment> batch = sampler_.drawSample(n);
+    std::vector<Assignment> batch = sampler_.drawSample(n, pool_);
     std::vector<MeasurementOutcome> outcomes(batch.size());
     engine_.measureBatchOutcome(batch, outcomes);
 

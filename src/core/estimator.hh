@@ -80,12 +80,16 @@ class OptimalPerformanceEstimator
      *                      cold fit to ~1e-9). Disable for results
      *                      bit-identical to the from-scratch
      *                      estimateOptimalPerformance() pipeline.
+     * @param pool          Pool the sampler draws on (not owned);
+     *                      nullptr draws serially. The sample is the
+     *                      same either way.
      */
     OptimalPerformanceEstimator(PerformanceEngine &engine,
                                 const Topology &topology,
                                 std::uint32_t tasks, std::uint64_t seed,
                                 const stats::PotOptions &options = {},
-                                bool warmStartFits = true);
+                                bool warmStartFits = true,
+                                base::WorkerPool *pool = nullptr);
 
     /**
      * Draws and measures `n` fresh assignments, then estimates the
@@ -117,6 +121,7 @@ class OptimalPerformanceEstimator
   private:
     PerformanceEngine &engine_;
     RandomAssignmentSampler sampler_;
+    base::WorkerPool *pool_;
     stats::PotOptions options_;
     /** Valid measurements in collection order (the sample() view). */
     std::vector<double> sample_;

@@ -28,7 +28,8 @@ iterativeAssignmentSearch(PerformanceEngine &engine,
 
     OptimalPerformanceEstimator estimator(engine, topology, tasks, seed,
                                           options.pot,
-                                          options.warmStartFits);
+                                          options.warmStartFits,
+                                          options.pool);
 
     IterativeResult result;
     std::size_t to_draw = options.initialSample;

@@ -38,6 +38,12 @@
 
 namespace statsched
 {
+
+namespace base
+{
+class WorkerPool;
+} // namespace base
+
 namespace core
 {
 
@@ -125,6 +131,13 @@ struct IterativeOptions
      * the search loop itself stays free of clocks and signals.
      */
     std::function<IterativeStop(std::size_t round)> stopCheck;
+    /**
+     * Pool the sampler draws each round's assignments on (see
+     * RandomAssignmentSampler::drawSample); not owned. nullptr draws
+     * serially, and every pool draws the same assignments. The
+     * campaign runner hands the same pool to its memo.
+     */
+    base::WorkerPool *pool = nullptr;
 };
 
 /**

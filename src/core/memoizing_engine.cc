@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 #include "base/check.hh"
+#include "base/worker_pool.hh"
 
 namespace statsched
 {
@@ -25,6 +26,11 @@ MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
     if (batch.empty())
         return;
 
+    // Pass 0: each item's canonical key, which depends on that item
+    // alone, so it needs neither the lock nor batch order.
+    std::vector<std::string> keys(batch.size());
+    computeKeys(batch, keys);
+
     // Pass 1: resolve cache hits and collect the unique misses in
     // first-occurrence order. `slot[i]` is the miss sub-batch index
     // of item i, or SIZE_MAX for a hit; `missItems[m]` is the batch
@@ -32,7 +38,6 @@ MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
     // the keys instead of copying them.
     constexpr std::size_t kHit =
         std::numeric_limits<std::size_t>::max();
-    std::vector<std::string> keys(batch.size());
     std::vector<std::size_t> slot(batch.size(), kHit);
     std::vector<Assignment> misses;
     std::vector<std::size_t> missItems;
@@ -45,7 +50,6 @@ MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
     {
         base::MutexLock lock(mutex_);
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            keys[i] = batch[i].canonicalKey();
             const auto cached = cache_.find(keys[i]);
             if (cached != cache_.end()) {
                 out[i] = MeasurementOutcome::classify(cached->second);
@@ -91,6 +95,27 @@ MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
             cache_.emplace(std::move(keys[missItems[m]]),
                            outcomes[m].value);
     }
+}
+
+void
+MemoizingEngine::computeKeys(std::span<const Assignment> batch,
+                             std::vector<std::string> &keys) const
+{
+    const auto keyRange = [&batch, &keys](std::size_t begin,
+                                          std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            keys[i] = batch[i].canonicalKey();
+    };
+    if (pool_ == nullptr || pool_->threads() < 2) {
+        keyRange(0, batch.size());
+        return;
+    }
+    // A throwing key surfaces on this thread after the join: the
+    // lowest-index one, as the serial loop would raise it.
+    pool_->runRethrowing(
+        batch.size(),
+        base::WorkerPool::defaultChunk(batch.size(), pool_->threads()),
+        keyRange);
 }
 
 std::size_t

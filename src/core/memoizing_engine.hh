@@ -22,7 +22,9 @@
  * MemoizingEngine dedups the batch and forwards only the misses, so
  * the pool measures each distinct class once. The decorator is
  * thread-safe for concurrent measurements, but it deliberately
- * publishes no kernel of its own.
+ * publishes no kernel of its own. Given a pool (the CLI passes the
+ * ParallelEngine's), it computes a batch's canonical keys on it before
+ * the serial, in-order lookup pass.
  */
 
 #ifndef STATSCHED_CORE_MEMOIZING_ENGINE_HH
@@ -32,12 +34,19 @@
 #include <atomic>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "base/sync.hh"
 #include "core/performance_engine.hh"
 
 namespace statsched
 {
+
+namespace base
+{
+class WorkerPool;
+} // namespace base
+
 namespace core
 {
 
@@ -47,9 +56,16 @@ namespace core
 class MemoizingEngine : public EngineDecorator
 {
   public:
-    /** @param inner Engine to wrap; not owned. */
-    explicit MemoizingEngine(PerformanceEngine &inner)
-        : EngineDecorator(inner)
+    /**
+     * @param inner Engine to wrap; not owned.
+     * @param pool  Optional pool computing each batch's canonical
+     *              keys; not owned. nullptr or a one-thread pool keys
+     *              the batch on the calling thread; the results are
+     *              identical.
+     */
+    explicit MemoizingEngine(PerformanceEngine &inner,
+                             base::WorkerPool *pool = nullptr)
+        : EngineDecorator(inner), pool_(pool)
     {
     }
 
@@ -101,6 +117,11 @@ class MemoizingEngine : public EngineDecorator
     void clear();
 
   private:
+    /** Keys batch[i] into keys[i], on pool_ when it has threads. */
+    void computeKeys(std::span<const Assignment> batch,
+                     std::vector<std::string> &keys) const;
+
+    base::WorkerPool *const pool_;
     mutable base::Mutex mutex_{"core::MemoizingEngine::mutex_"};
     /** Measured value per canonical class. */
     std::unordered_map<std::string, double> cache_

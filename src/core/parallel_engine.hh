@@ -39,7 +39,8 @@ class ParallelEngine : public EngineDecorator
      * @param inner   Engine to wrap; not owned. Parallel speedup
      *                requires inner.outcomeKernel() to be non-empty.
      * @param threads Total threads used per batch including the
-     *                caller; 0 selects the hardware concurrency.
+     *                caller; 0 selects base::WorkerPool::defaultThreads()
+     *                (all cpus but one from three up).
      */
     explicit ParallelEngine(PerformanceEngine &inner,
                             unsigned threads = 0);
@@ -65,6 +66,12 @@ class ParallelEngine : public EngineDecorator
 
     /** @return threads used per batch (callers + workers). */
     unsigned threads() const { return pool_.threads(); }
+
+    /**
+     * @return the pool, for the campaign's other per-assignment work
+     *         (sampling, memo keys), which runs between batches.
+     */
+    base::WorkerPool &pool() { return pool_; }
 
   private:
     base::WorkerPool pool_;

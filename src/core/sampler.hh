@@ -22,12 +22,19 @@
  * conditioning iid uniforms on distinctness yields exactly the
  * uniform distribution over ordered distinct tuples, so the two
  * methods sample the *same* distribution.
+ *
+ * drawSample() can spread the rejection loop over a worker pool and
+ * still return the paper's stream exactly: on a power-of-two context
+ * count every try uses a fixed number of RNG outputs, so RNG
+ * jump-ahead (stats::Rng::jump) starts each chunk of tries at its own
+ * position in the one stream (METHOD.md §2).
  */
 
 #ifndef STATSCHED_CORE_SAMPLER_HH
 #define STATSCHED_CORE_SAMPLER_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/assignment.hh"
@@ -35,6 +42,12 @@
 
 namespace statsched
 {
+
+namespace base
+{
+class WorkerPool;
+} // namespace base
+
 namespace core
 {
 
@@ -67,8 +80,19 @@ class RandomAssignmentSampler
     /** @return one iid random assignment. */
     Assignment draw();
 
-    /** @return a sample of n iid random assignments. */
-    std::vector<Assignment> drawSample(std::size_t n);
+    /**
+     * @return a sample of n iid random assignments: the assignments n
+     *         calls to draw() would return, in the same order, with
+     *         the same attempts() and generator state afterwards.
+     *
+     * @param pool Optional worker pool; not owned. The rejection
+     *             loop runs on it, in chunks of tries, when the pool
+     *             has more than one thread, the context count is a
+     *             power of two and the request expects at least two
+     *             chunks per thread; otherwise the draws are serial.
+     */
+    std::vector<Assignment> drawSample(std::size_t n,
+                                       base::WorkerPool *pool = nullptr);
 
     /**
      * Total draws attempted so far, including the discarded invalid
@@ -84,12 +108,26 @@ class RandomAssignmentSampler
     SamplingMethod method() const { return method_; }
 
   private:
+    /** @return the mean number of rejection tries per accepted draw,
+     *  V^T (V-T)! / V!. */
+    double expectedTriesPerDraw() const;
+
+    /** @return true when drawSample(n, pool) draws on the pool. */
+    bool drawsOnPool(std::size_t n, const base::WorkerPool &pool) const;
+
+    /** @return n draws made on the pool. */
+    std::vector<Assignment> drawOnPool(std::size_t n,
+                                       base::WorkerPool &pool);
+
     Topology topology_;
     std::uint32_t tasks_;
     stats::Rng rng_;
     SamplingMethod method_;
     /** Scratch permutation for the Fisher-Yates method. */
     std::vector<ContextId> scratch_;
+    /** Jump over one chunk of tries; built on the first parallel
+     *  request, never in the constructor. */
+    std::optional<stats::Rng::Polynomial> chunkJump_;
     std::uint64_t attempts_ = 0;
     std::uint64_t produced_ = 0;
 };

@@ -49,7 +49,8 @@ struct BootstrapInterval
  * @param replicates Number of bootstrap replicates (>= 50).
  * @param seed       Resampling RNG seed.
  * @param threads    Threads used for the replicate fits, including the
- *                   caller; 0 selects the hardware concurrency.
+ *                   caller; 0 selects the worker pool's default
+ *                   (all cpus but one from three up).
  */
 BootstrapInterval
 bootstrapUpbInterval(const std::vector<double> &sample,

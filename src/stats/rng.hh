@@ -7,11 +7,19 @@
  * seeded Rng so that all experiments are exactly reproducible. The
  * engine is xoshiro256** — fast, high quality, and trivially
  * splittable via SplitMix64-seeded streams.
+ *
+ * The state transition of xoshiro256 is linear over GF(2), so the
+ * generator can also jump ahead: advancing n steps is multiplying the
+ * state by x^n modulo the transition's characteristic polynomial p(x)
+ * (Haramoto et al., 2008). jumpPolynomial() computes that residue and
+ * jump() applies it, which lets a caller start several workers at
+ * known positions of one stream.
  */
 
 #ifndef STATSCHED_STATS_RNG_HH
 #define STATSCHED_STATS_RNG_HH
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 
@@ -26,6 +34,12 @@ namespace stats
 class Rng
 {
   public:
+    /**
+     * A polynomial over GF(2) of degree below 256: word w holds the
+     * coefficients of x^(64w) .. x^(64w+63), lowest bit first.
+     */
+    using Polynomial = std::array<std::uint64_t, 4>;
+
     /** Constructs a generator from a 64-bit seed. */
     explicit Rng(std::uint64_t seed)
     {
@@ -46,15 +60,25 @@ class Rng
     {
         const std::uint64_t result =
             rotl(state_[1] * 5ull, 7) * 9ull;
-        const std::uint64_t t = state_[1] << 17;
-        state_[2] ^= state_[0];
-        state_[3] ^= state_[1];
-        state_[1] ^= state_[2];
-        state_[0] ^= state_[3];
-        state_[2] ^= t;
-        state_[3] = rotl(state_[3], 45);
+        step();
         return result;
     }
+
+    /**
+     * @return x^steps mod p(x): the polynomial that jump() turns into
+     *         an advance of `steps` calls to next(). Costs one GF(2)
+     *         squaring per bit of `steps`, tens of microseconds, so
+     *         callers build it once per stride and reuse it.
+     */
+    static Polynomial jumpPolynomial(std::uint64_t steps);
+
+    /**
+     * Advances the raw stream as far as the residue `poly` encodes —
+     * jump(jumpPolynomial(n)) leaves the state n calls to next()
+     * ahead — with the accumulate-and-step loop of the reference
+     * xoshiro256 jump(). The cached normal() spare is left as is.
+     */
+    void jump(const Polynomial &poly);
 
     /** @return a uniform double in [0, 1). */
     double
@@ -136,10 +160,36 @@ class Rng
         return (v << k) | (v >> (64 - k));
     }
 
+    /** The linear state transition shared by next() and jump(). */
+    void
+    step()
+    {
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+    }
+
     std::uint64_t state_[4] = {};
     double spare_ = 0.0;
     bool haveSpare_ = false;
 };
+
+namespace detail
+{
+
+/**
+ * @return a * b mod p(x) over GF(2), where p(x) is the characteristic
+ *         polynomial of the xoshiro256 state transition. Exposed so
+ *         tests can rebuild the reference jump constants.
+ */
+Rng::Polynomial mulModCharacteristic(const Rng::Polynomial &a,
+                                     const Rng::Polynomial &b);
+
+} // namespace detail
 
 } // namespace stats
 } // namespace statsched

@@ -16,31 +16,14 @@
 #include <vector>
 
 #include "base/io.hh"
+#include "temp_path.hh"
 
 namespace
 {
 
 using namespace statsched::base::io;
 
-/** RAII temp file path; removes the file on scope exit. */
-class TempPath
-{
-  public:
-    explicit TempPath(const char *stem)
-        : path_((std::filesystem::temp_directory_path() /
-                 (std::string("statsched_io_test_") + stem))
-                    .string())
-    {
-        std::filesystem::remove(path_);
-    }
-
-    ~TempPath() { std::filesystem::remove(path_); }
-
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
+using statsched::test::TempPath;
 
 std::vector<std::uint8_t>
 bytes(const std::string &s)
@@ -67,7 +50,7 @@ TEST(IoResult, ClassifiesFullMediaApartFromOtherErrors)
 
 TEST(FileSink, WritesAppendAndTruncateReplaces)
 {
-    TempPath path("file_sink");
+    TempPath path("io_test_file_sink");
     {
         IoResult open;
         auto sink = FileSink::open(path.str(), true, open);
@@ -114,8 +97,8 @@ TEST(FileSink, OpenFailureReportsStructuredResult)
 
 TEST(FileHelpers, ExistsTruncateRemoveRename)
 {
-    TempPath a("helpers_a");
-    TempPath b("helpers_b");
+    TempPath a("io_test_helpers_a");
+    TempPath b("io_test_helpers_b");
     EXPECT_FALSE(fileExists(a.str()));
 
     {
@@ -195,8 +178,8 @@ TEST(FaultInjectingSink, BudgetIsCumulativeAcrossSinks)
     // A journal that rotates segments opens a new sink per segment;
     // the shared plan must carry the budget across them so the fault
     // fires at the same global byte offset regardless of rotation.
-    TempPath seg0("fault_seg0");
-    TempPath seg1("fault_seg1");
+    TempPath seg0("io_test_fault_seg0");
+    TempPath seg1("io_test_fault_seg1");
     auto plan = std::make_shared<FaultPlan>();
     plan->failAfterBytes = 10;
     const SinkFactory factory =

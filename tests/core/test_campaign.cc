@@ -23,6 +23,7 @@
 #include "core/topology.hh"
 #include "sim/benchmarks.hh"
 #include "sim/engine.hh"
+#include "temp_path.hh"
 
 namespace
 {
@@ -39,25 +40,7 @@ constexpr std::uint32_t kTasks = 24;
 constexpr std::uint64_t kSeed = 5;
 constexpr std::uint64_t kConfigHash = 0x5eed;
 
-/** RAII temp file path; removes the file on scope exit. */
-class TempPath
-{
-  public:
-    explicit TempPath(const std::string &stem)
-        : path_((std::filesystem::temp_directory_path() /
-                 ("statsched_campaign_test_" + stem))
-                    .string())
-    {
-        std::filesystem::remove(path_);
-    }
-
-    ~TempPath() { std::filesystem::remove(path_); }
-
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
+using statsched::test::TempPath;
 
 /**
  * The substrate the journal wraps: Parallel(Fault(Sim)). The upper
@@ -192,7 +175,7 @@ copyTruncated(const std::string &from, const std::string &to,
 
 TEST(Campaign, JournalingLayerIsTransparent)
 {
-    TempPath journal("transparent");
+    TempPath journal("campaign_test_transparent");
     const CampaignResult journaled = runFresh(journal.str());
     ASSERT_TRUE(journaled.ran);
     EXPECT_TRUE(journaled.journalError.empty());
@@ -209,7 +192,7 @@ TEST(Campaign, JournalingLayerIsTransparent)
 
 TEST(Campaign, ResumeAfterKillAtEveryRecordBoundaryIsBitIdentical)
 {
-    TempPath full("kill_full");
+    TempPath full("campaign_test_kill_full");
     const CampaignResult baseline = runFresh(full.str());
     ASSERT_TRUE(baseline.ran);
     ASSERT_TRUE(baseline.journalError.empty());
@@ -220,7 +203,7 @@ TEST(Campaign, ResumeAfterKillAtEveryRecordBoundaryIsBitIdentical)
     ASSERT_GT(boundaries.size(), 10u);
 
     for (std::size_t i = 0; i < boundaries.size(); ++i) {
-        TempPath torn("kill_cut");
+        TempPath torn("campaign_test_kill_cut");
         copyTruncated(full.str(), torn.str(), boundaries[i]);
         // Alternate the resumed thread count: batch decomposition
         // must not leak into the statistics.
@@ -244,7 +227,7 @@ TEST(Campaign, ResumeAfterKillAtEveryRecordBoundaryIsBitIdentical)
 
 TEST(Campaign, ResumeAfterTornRecordIsBitIdentical)
 {
-    TempPath full("torn_full");
+    TempPath full("campaign_test_torn_full");
     const CampaignResult baseline = runFresh(full.str());
     ASSERT_TRUE(baseline.ran);
 
@@ -259,7 +242,7 @@ TEST(Campaign, ResumeAfterTornRecordIsBitIdentical)
     cuts.push_back(boundaries.back() - 1); // torn final record
 
     for (const std::uint64_t cut : cuts) {
-        TempPath torn("torn_cut");
+        TempPath torn("campaign_test_torn_cut");
         copyTruncated(full.str(), torn.str(), cut);
         const CampaignResult resumed = runResumed(torn.str());
         ASSERT_TRUE(resumed.ran) << resumed.journalError;
@@ -274,10 +257,10 @@ TEST(Campaign, ResumeAfterTornRecordIsBitIdentical)
 
 TEST(Campaign, InterruptCheckpointsAndResumeCompletes)
 {
-    TempPath baselinePath("intr_base");
+    TempPath baselinePath("campaign_test_intr_base");
     const CampaignResult baseline = runFresh(baselinePath.str());
 
-    TempPath journal("intr");
+    TempPath journal("campaign_test_intr");
     Substrate substrate;
     CampaignOptions options = baseOptions(journal.str());
     int probes = 0;
@@ -318,10 +301,10 @@ class TickingClock : public base::Clock
 
 TEST(Campaign, DeadlineAbortsAndResumeCompletes)
 {
-    TempPath baselinePath("deadline_base");
+    TempPath baselinePath("campaign_test_deadline_base");
     const CampaignResult baseline = runFresh(baselinePath.str());
 
-    TempPath journal("deadline");
+    TempPath journal("campaign_test_deadline");
     Substrate substrate;
     CampaignOptions options = baseOptions(journal.str());
     TickingClock clock;
@@ -341,10 +324,10 @@ TEST(Campaign, DeadlineAbortsAndResumeCompletes)
 
 TEST(Campaign, MeasurementBudgetAbortsAndResumeCompletes)
 {
-    TempPath baselinePath("budget_base");
+    TempPath baselinePath("campaign_test_budget_base");
     const CampaignResult baseline = runFresh(baselinePath.str());
 
-    TempPath journal("budget");
+    TempPath journal("campaign_test_budget");
     Substrate substrate;
     CampaignOptions options = baseOptions(journal.str());
     options.maxMeasurements = 120;
@@ -363,7 +346,7 @@ TEST(Campaign, MeasurementBudgetAbortsAndResumeCompletes)
 
 TEST(Campaign, RoundLimitAborts)
 {
-    TempPath journal("rounds");
+    TempPath journal("campaign_test_rounds");
     Substrate substrate;
     CampaignOptions options = baseOptions(journal.str());
     options.maxRounds = 1;
@@ -376,7 +359,7 @@ TEST(Campaign, RoundLimitAborts)
 
 TEST(Campaign, ResumeRejectsForeignJournal)
 {
-    TempPath journal("foreign");
+    TempPath journal("campaign_test_foreign");
     ASSERT_TRUE(runFresh(journal.str()).ran);
 
     Substrate substrate;
@@ -399,7 +382,7 @@ TEST(Campaign, ResumeRejectsForeignJournal)
     EXPECT_FALSE(wrongConfig.journalError.empty());
 
     // Missing journal: cannot resume what never ran.
-    TempPath missing("foreign_missing");
+    TempPath missing("campaign_test_foreign_missing");
     Substrate substrate3;
     CampaignOptions absent = baseOptions(missing.str());
     absent.resume = true;

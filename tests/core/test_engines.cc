@@ -210,28 +210,47 @@ TEST(MemoizingEngine, KeysBySymmetryClassNotLabeling)
 
 TEST(MemoizingEngine, BatchDeduplicatesWithinAndAcrossBatches)
 {
-    auto sim = makeSim();
-    core::MeteredEngine meter(sim);
-    core::MemoizingEngine memo(meter);
-
     auto base = drawBatch(10);
     std::vector<Assignment> batch(base);
     batch.push_back(base[3]);   // duplicate inside the batch
     batch.push_back(base[7]);
 
-    std::vector<double> out(batch.size());
-    memo.measureBatch(batch, out);
-    EXPECT_EQ(out[10], out[3]);
-    EXPECT_EQ(out[11], out[7]);
-    // Only the 10 distinct assignments reached the inner engine.
-    EXPECT_EQ(meter.stats().measurements, 10u);
-    EXPECT_EQ(memo.hitCount(), 2u);
+    // Keys computed serially, on a pool of their own, and on the pool
+    // of the ParallelEngine measuring the misses (the CLI's stack) must
+    // give the same values and the same hits.
+    std::vector<double> serialOut;
+    for (const int variant : {0, 1, 2}) {
+        SCOPED_TRACE(variant);
+        auto sim = makeSim();
+        core::ParallelEngine parallel(sim, 4);
+        statsched::base::WorkerPool ownPool(4);
+        core::PerformanceEngine &inner = variant == 2
+            ? static_cast<core::PerformanceEngine &>(parallel)
+            : sim;
+        statsched::base::WorkerPool *pools[] = {nullptr, &ownPool,
+                                                &parallel.pool()};
+        core::MeteredEngine meter(inner);
+        core::MemoizingEngine memo(meter, pools[variant]);
 
-    // A second identical batch is served fully from the cache.
-    std::vector<double> replay(batch.size());
-    memo.measureBatch(batch, replay);
-    EXPECT_EQ(meter.stats().measurements, 10u);
-    EXPECT_EQ(replay, out);
+        std::vector<double> out(batch.size());
+        memo.measureBatch(batch, out);
+        EXPECT_EQ(out[10], out[3]);
+        EXPECT_EQ(out[11], out[7]);
+        // Only the 10 distinct assignments reached the inner engine.
+        EXPECT_EQ(meter.stats().measurements, 10u);
+        EXPECT_EQ(memo.hitCount(), 2u);
+
+        // A second identical batch is served fully from the cache.
+        std::vector<double> replay(batch.size());
+        memo.measureBatch(batch, replay);
+        EXPECT_EQ(meter.stats().measurements, 10u);
+        EXPECT_EQ(replay, out);
+
+        if (variant == 0)
+            serialOut = out;
+        else
+            EXPECT_EQ(out, serialOut);
+    }
 }
 
 TEST(MeteredEngine, StatsComposeAcrossTheFullStack)

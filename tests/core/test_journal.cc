@@ -17,6 +17,7 @@
 #include "core/journal.hh"
 #include "core/sampler.hh"
 #include "core/topology.hh"
+#include "temp_path.hh"
 
 namespace
 {
@@ -34,25 +35,7 @@ using core::Topology;
 
 const Topology t2 = Topology::ultraSparcT2();
 
-/** RAII temp file path; removes the file on scope exit. */
-class TempPath
-{
-  public:
-    explicit TempPath(const char *stem)
-        : path_((std::filesystem::temp_directory_path() /
-                 (std::string("statsched_journal_test_") + stem))
-                    .string())
-    {
-        std::filesystem::remove(path_);
-    }
-
-    ~TempPath() { std::filesystem::remove(path_); }
-
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
+using statsched::test::TempPath;
 
 JournalHeader
 testHeader(std::uint64_t seed = 7, std::uint64_t configHash = 0xabc)
@@ -134,7 +117,7 @@ TEST(JournalCrc, MatchesIeee8023ReferenceVector)
 
 TEST(Journal, HeaderRoundtrip)
 {
-    TempPath path("header");
+    TempPath path("journal_test_header");
     { MeasurementJournal journal(path.str(), testHeader(9, 0xfeed)); }
 
     const JournalRecovery recovery = core::recoverJournal(path.str());
@@ -150,7 +133,7 @@ TEST(Journal, HeaderRoundtrip)
 
 TEST(Journal, BatchAndCheckpointRoundtrip)
 {
-    TempPath path("roundtrip");
+    TempPath path("journal_test_roundtrip");
     writeTwoGroups(path.str());
 
     const JournalRecovery recovery = core::recoverJournal(path.str());
@@ -185,7 +168,7 @@ TEST(Journal, BatchAndCheckpointRoundtrip)
 
 TEST(Journal, TornTailTruncatedAtEveryByte)
 {
-    TempPath full("torn_full");
+    TempPath full("journal_test_torn_full");
     writeTwoGroups(full.str());
     const JournalRecovery intact = core::recoverJournal(full.str());
     ASSERT_TRUE(intact.headerValid);
@@ -197,7 +180,7 @@ TEST(Journal, TornTailTruncatedAtEveryByte)
     // prefix at or below the cut — never a partial record, never
     // bytes past the cut.
     for (std::uint64_t cut = 44; cut < size; ++cut) {
-        TempPath torn("torn_cut");
+        TempPath torn("journal_test_torn_cut");
         std::filesystem::copy_file(
             full.str(), torn.str(),
             std::filesystem::copy_options::overwrite_existing);
@@ -222,7 +205,7 @@ TEST(Journal, TornTailTruncatedAtEveryByte)
 
 TEST(Journal, CorruptTailByteDropsItsGroup)
 {
-    TempPath path("corrupt");
+    TempPath path("journal_test_corrupt");
     writeTwoGroups(path.str());
     const std::uint64_t size = fileSize(path.str());
 
@@ -239,7 +222,7 @@ TEST(Journal, CorruptTailByteDropsItsGroup)
 
 TEST(Journal, IncompleteGroupIsDropped)
 {
-    TempPath path("incomplete");
+    TempPath path("journal_test_incomplete");
     {
         MeasurementJournal journal(path.str(), testHeader());
         journal.beginBatch(0, 1);
@@ -261,20 +244,20 @@ TEST(Journal, IncompleteGroupIsDropped)
 
 TEST(Journal, UnusableFilesReportErrors)
 {
-    TempPath missing("missing");
+    TempPath missing("journal_test_missing");
     const JournalRecovery none = core::recoverJournal(missing.str());
     EXPECT_FALSE(none.fileExists);
     EXPECT_FALSE(none.headerValid);
     EXPECT_FALSE(none.error.empty());
 
-    TempPath empty("empty");
+    TempPath empty("journal_test_empty");
     { std::ofstream touch(empty.str(), std::ios::binary); }
     const JournalRecovery hollow = core::recoverJournal(empty.str());
     EXPECT_TRUE(hollow.fileExists);
     EXPECT_FALSE(hollow.headerValid);
     EXPECT_FALSE(hollow.error.empty());
 
-    TempPath magic("magic");
+    TempPath magic("journal_test_magic");
     writeTwoGroups(magic.str());
     flipByteAt(magic.str(), 0);
     const JournalRecovery bad = core::recoverJournal(magic.str());
@@ -284,7 +267,7 @@ TEST(Journal, UnusableFilesReportErrors)
 
 TEST(Journal, AppendAfterRecoveryTruncatesTheTornTail)
 {
-    TempPath path("reopen");
+    TempPath path("journal_test_reopen");
     writeTwoGroups(path.str());
     // Tear the last record, recover, reopen for append.
     truncateTo(path.str(), fileSize(path.str()) - 2);

@@ -22,6 +22,7 @@
 #include "base/io.hh"
 #include "core/journal.hh"
 #include "core/topology.hh"
+#include "temp_path.hh"
 
 namespace
 {
@@ -50,9 +51,8 @@ class TempChain
 {
   public:
     explicit TempChain(const char *stem)
-        : path_((std::filesystem::temp_directory_path() /
-                 (std::string("statsched_jfault_test_") + stem))
-                    .string())
+        : path_(statsched::test::tempPath(std::string("jfault_test_") +
+                                          stem))
     {
         cleanup();
     }

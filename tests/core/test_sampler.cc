@@ -8,7 +8,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "base/worker_pool.hh"
 #include "core/assignment_space.hh"
 #include "core/enumerator.hh"
 #include "core/sampler.hh"
@@ -20,19 +23,28 @@ using namespace statsched::core;
 
 const Topology t2 = Topology::ultraSparcT2();
 
-/** FNV-1a over every context of the sampler's next n draws. */
+/** FNV-1a over every context of the assignments, in order. */
 std::uint64_t
-streamDigest(RandomAssignmentSampler &sampler, int n)
+digest(const std::vector<Assignment> &draws)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
-    for (int i = 0; i < n; ++i) {
-        const Assignment a = sampler.draw();
+    for (const Assignment &a : draws) {
         for (const ContextId ctx : a.contexts()) {
             h ^= ctx;
             h *= 0x100000001b3ull;
         }
     }
     return h;
+}
+
+/** digest() of the sampler's next n draws. */
+std::uint64_t
+streamDigest(RandomAssignmentSampler &sampler, int n)
+{
+    std::vector<Assignment> draws;
+    for (int i = 0; i < n; ++i)
+        draws.push_back(sampler.draw());
+    return digest(draws);
 }
 
 TEST(Sampler, ProducesValidAssignments)
@@ -149,6 +161,9 @@ TEST(Sampler, RejectionStreamIsPinned)
         {t2, 12, 1, 0x6d9d9e7bfff95dfaull, 9271},
         // 128 contexts: more than one 64-bit word of occupancy.
         {Topology{16, 4, 2}, 32, 3, 0x8b1556b97235db82ull, 212686},
+        // 48 contexts: not a power of two, so uniformInt() may redraw
+        // and drawSample() keeps to the serial loop on any pool.
+        {Topology{6, 2, 4}, 20, 5, 0xb84ad90c0bc720ceull, 306390},
     };
     for (const Case &c : cases) {
         RandomAssignmentSampler sampler(c.topology, c.tasks, c.seed);
@@ -157,6 +172,31 @@ TEST(Sampler, RejectionStreamIsPinned)
         EXPECT_EQ(sampler.attempts(), c.attempts)
             << c.topology.shapeString() << " tasks=" << c.tasks;
         EXPECT_EQ(sampler.produced(), 3000u);
+    }
+
+    // The same streams drawn through pools, with serial draws in
+    // between: the parallel rejection loop (power-of-two context
+    // counts, large enough requests) must hand over the exact
+    // generator state and attempt count at each seam.
+    for (const unsigned threads : {1u, 2u, 4u, 16u}) {
+        statsched::base::WorkerPool pool(threads);
+        for (const Case &c : cases) {
+            RandomAssignmentSampler sampler(c.topology, c.tasks,
+                                            c.seed);
+            std::vector<Assignment> draws =
+                sampler.drawSample(1000, &pool);
+            for (int i = 0; i < 7; ++i)
+                draws.push_back(sampler.draw());
+            for (Assignment &a : sampler.drawSample(1993, &pool))
+                draws.push_back(std::move(a));
+            EXPECT_EQ(digest(draws), c.digest)
+                << c.topology.shapeString() << " tasks=" << c.tasks
+                << " threads=" << threads;
+            EXPECT_EQ(sampler.attempts(), c.attempts)
+                << c.topology.shapeString() << " tasks=" << c.tasks
+                << " threads=" << threads;
+            EXPECT_EQ(sampler.produced(), 3000u);
+        }
     }
 }
 

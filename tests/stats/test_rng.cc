@@ -112,4 +112,47 @@ TEST(Rng, SplitStreamsAreIndependentish)
     EXPECT_EQ(seen.size(), 2000u);
 }
 
+TEST(Rng, JumpMatchesStepping)
+{
+    // n = 256 is the degree of p(x): by Cayley-Hamilton that jump is
+    // correct only if the hard-coded polynomial is.
+    const std::uint64_t steps[] = {0, 1, 255, 256, 257, 49152,
+                                   1234567};
+    for (const std::uint64_t seed : {1ull, 7ull, 0xdeadbeefull}) {
+        for (const std::uint64_t n : steps) {
+            Rng stepped(seed);
+            for (std::uint64_t i = 0; i < n; ++i)
+                stepped.next();
+            Rng jumped(seed);
+            jumped.jump(Rng::jumpPolynomial(n));
+            for (int i = 0; i < 8; ++i) {
+                ASSERT_EQ(jumped.next(), stepped.next())
+                    << "seed " << seed << ", n " << n << ", output "
+                    << i;
+            }
+        }
+    }
+}
+
+TEST(Rng, JumpPolynomialMatchesReferenceConstants)
+{
+    // Blackman and Vigna's xoshiro256 jump() and long_jump() apply
+    // x^(2^128) and x^(2^192) modulo p(x).
+    const Rng::Polynomial jump = {
+        0x180ec6d33cfd0abaull, 0xd5a61266f0c9392cull,
+        0xa9582618e03fc9aaull, 0x39abdc4529b1661cull};
+    const Rng::Polynomial longJump = {
+        0x76e15d3efefdcbbfull, 0xc5004e441c522fb3ull,
+        0x77710069854ee241ull, 0x39109bb02acbe635ull};
+    Rng::Polynomial power = {2, 0, 0, 0};  // x
+    for (int i = 1; i <= 192; ++i) {
+        power = statsched::stats::detail::mulModCharacteristic(power,
+                                                               power);
+        if (i == 128) {
+            EXPECT_EQ(power, jump);
+        }
+    }
+    EXPECT_EQ(power, longJump);
+}
+
 } // anonymous namespace

@@ -12,7 +12,8 @@
  *
  * Run `statsched_cli help` for usage. All stochastic commands accept
  * --seed and are fully reproducible; --threads only changes how the
- * measurement batches are scheduled, never the results.
+ * sampling, memo keying and measurement batches are scheduled, never
+ * the results.
  */
 
 #include <cstdio>
@@ -126,7 +127,8 @@ addEngineOptions(OptionParser &parser)
     parser.addOption("benchmark", "ipfwd-l1", "workload kernel");
     parser.addOption("instances", "8", "pipeline instances");
     parser.addOption("threads", "0",
-                     "measurement threads (0 = hardware)");
+                     "pool threads that measure, draw the samples and "
+                     "compute memo keys (0 = all cpus but one)");
     parser.addFlag("no-memoize",
                    "measure duplicate assignments afresh");
     parser.addOption("fault-rate", "0",
@@ -231,7 +233,8 @@ makeEngineStack(const OptionParser &args, bool withUpperLayers = true)
     }
     if (!args.flag("no-memoize")) {
         stack.memoizing =
-            std::make_unique<core::MemoizingEngine>(*below);
+            std::make_unique<core::MemoizingEngine>(
+                *below, &stack.parallel->pool());
         below = stack.memoizing.get();
     }
     stack.metered = std::make_unique<core::MeteredEngine>(*below);
@@ -483,7 +486,8 @@ cmdEstimate(int argc, char **argv)
     EngineStack stack = makeEngineStack(args);
     core::OptimalPerformanceEstimator estimator(
         stack.top(), topo, stack.sim().workload().taskCount(),
-        static_cast<std::uint64_t>(seed), {}, !args.flag("cold-fits"));
+        static_cast<std::uint64_t>(seed), {}, !args.flag("cold-fits"),
+        &stack.parallel->pool());
     const auto result =
         estimator.extend(static_cast<std::size_t>(samples));
 
@@ -671,6 +675,9 @@ cmdIterate(int argc, char **argv)
     campaign.iterative.useUpperConfidenceBound =
         args.flag("confident");
     campaign.iterative.warmStartFits = !args.flag("cold-fits");
+    // The measuring pool also draws the samples and keys the memo;
+    // the three run one after another, never at once.
+    campaign.iterative.pool = &stack.parallel->pool();
 
     campaign.journalPath = args.get("journal");
     campaign.resume = args.flag("resume");
@@ -918,9 +925,10 @@ cmdHelp()
         "             [--shards N [--worker PATH] "
         "[--shard-deadline-s S]]\n"
         "  help\n\n"
-        "measurement commands also take --threads N (0 = hardware "
-        "concurrency)\nand --no-memoize (measure duplicate "
-        "assignments afresh).\n\n"
+        "measurement commands also take --threads N (0 = all cpus but "
+        "one;\nthe pool measures, draws the samples and "
+        "computes the memo keys) and\n--no-memoize (measure "
+        "duplicate assignments afresh).\n\n"
         "fault tolerance: --fault-rate / --fault-garbage / "
         "--fault-outlier /\n--fault-hang PCT inject deterministic "
         "measurement faults (seeded by\n--fault-seed); --retries N "
