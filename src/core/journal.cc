@@ -5,12 +5,13 @@
 
 #include "core/journal.hh"
 
+#include <algorithm>
 #include <array>
-#include <cstring>
 #include <utility>
 
 #include "base/check.hh"
 #include "base/logging.hh"
+#include "core/record_codec.hh"
 
 namespace statsched
 {
@@ -25,134 +26,21 @@ constexpr std::uint8_t kRecordBatchBegin = 1;
 constexpr std::uint8_t kRecordMeasurement = 2;
 constexpr std::uint8_t kRecordCheckpoint = 3;
 
-constexpr std::array<char, 4> kMagic = {'S', 'J', 'N', 'L'};
-
-/** Fixed payload sizes per record type. */
-constexpr std::size_t kBatchBeginSize = 4 + 4;
-constexpr std::size_t kMeasurementSize = 8 + 8 + 1 + 4;
-constexpr std::size_t kCheckpointSize = 1 + 4 + 8 + 8 + 8;
+constexpr std::array<std::uint8_t, 4> kMagic = {'S', 'J', 'N', 'L'};
 
 /** Header: magic + version + identity payload + crc. */
 constexpr std::size_t kHeaderSize =
     4 + 4 + 8 + 4 * 4 + 8 + 4;
 
-/** Little-endian serialization cursor over a byte buffer. */
-class ByteWriter
-{
-  public:
-    explicit ByteWriter(std::vector<std::uint8_t> &out) : out_(out) {}
-
-    void
-    u8(std::uint8_t v)
-    {
-        out_.push_back(v);
-    }
-
-    void
-    u16(std::uint16_t v)
-    {
-        for (int i = 0; i < 2; ++i)
-            out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        u64(bits);
-    }
-
-  private:
-    std::vector<std::uint8_t> &out_;
-};
-
-/** Little-endian deserialization cursor with bounds checking. */
-class ByteReader
-{
-  public:
-    ByteReader(const std::uint8_t *data, std::size_t size)
-        : data_(data), size_(size)
-    {}
-
-    std::size_t remaining() const { return size_ - pos_; }
-
-    std::uint8_t
-    u8()
-    {
-        SCHED_REQUIRE(remaining() >= 1, "journal read out of bounds");
-        return data_[pos_++];
-    }
-
-    std::uint16_t
-    u16()
-    {
-        SCHED_REQUIRE(remaining() >= 2, "journal read out of bounds");
-        std::uint16_t v = 0;
-        for (int i = 0; i < 2; ++i)
-            v |= static_cast<std::uint16_t>(data_[pos_++]) << (8 * i);
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        SCHED_REQUIRE(remaining() >= 4, "journal read out of bounds");
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        SCHED_REQUIRE(remaining() >= 8, "journal read out of bounds");
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-        return v;
-    }
-
-    double
-    f64()
-    {
-        const std::uint64_t bits = u64();
-        double v = 0.0;
-        std::memcpy(&v, &bits, sizeof v);
-        return v;
-    }
-
-  private:
-    const std::uint8_t *data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-};
-
-/** Serializes the header (everything but nothing missing: magic,
- *  version, identity, trailing crc). */
+/** Serializes the header: magic, version, identity, trailing crc. */
 std::vector<std::uint8_t>
 serializeHeader(const JournalHeader &header)
 {
     std::vector<std::uint8_t> bytes;
     bytes.reserve(kHeaderSize);
-    ByteWriter w(bytes);
-    for (char c : kMagic)
-        w.u8(static_cast<std::uint8_t>(c));
+    RecordWriter w(bytes);
+    for (const std::uint8_t c : kMagic)
+        w.u8(c);
     w.u32(kJournalVersion);
     w.u64(header.seed);
     w.u32(header.cores);
@@ -160,7 +48,7 @@ serializeHeader(const JournalHeader &header)
     w.u32(header.strandsPerPipe);
     w.u32(header.tasks);
     w.u64(header.configHash);
-    w.u32(journalCrc32(bytes.data(), bytes.size()));
+    w.u32(crc32(bytes.data(), bytes.size()));
     SCHED_ENSURE(bytes.size() == kHeaderSize,
                  "journal header size drifted from the format");
     return bytes;
@@ -192,46 +80,43 @@ struct SegmentScan
  * checkpoints). Shared by recovery and segment compaction.
  */
 SegmentScan
-scanSegment(const std::vector<std::uint8_t> &bytes)
+scanSegment(std::span<const std::uint8_t> bytes)
 {
     SegmentScan scan;
     scan.totalBytes = bytes.size();
 
     // Header: fixed size, trailing CRC over everything before it. A
     // bad header means the file is not ours (or the very first write
-    // was torn) — unusable either way.
+    // was torn) — unusable either way. No read below can run out of
+    // bytes once the size check has passed.
     if (bytes.size() < kHeaderSize) {
         scan.error = "journal shorter than its header";
         return scan;
     }
-    {
-        ByteReader r(bytes.data(), kHeaderSize);
-        bool magicOk = true;
-        for (char c : kMagic)
-            magicOk &= r.u8() == static_cast<std::uint8_t>(c);
-        if (!magicOk) {
-            scan.error = "journal magic mismatch";
-            return scan;
-        }
-        const std::uint32_t version = r.u32();
-        if (version != kJournalVersion) {
-            scan.error = "unsupported journal version " +
-                std::to_string(version);
-            return scan;
-        }
-        scan.header.seed = r.u64();
-        scan.header.cores = r.u32();
-        scan.header.pipesPerCore = r.u32();
-        scan.header.strandsPerPipe = r.u32();
-        scan.header.tasks = r.u32();
-        scan.header.configHash = r.u64();
-        const std::uint32_t storedCrc = r.u32();
-        const std::uint32_t computedCrc =
-            journalCrc32(bytes.data(), kHeaderSize - 4);
-        if (storedCrc != computedCrc) {
-            scan.error = "journal header checksum mismatch";
-            return scan;
-        }
+    if (!std::equal(kMagic.begin(), kMagic.end(), bytes.begin())) {
+        scan.error = "journal magic mismatch";
+        return scan;
+    }
+    RecordReader r(bytes.first(kHeaderSize).subspan(kMagic.size()));
+    std::uint32_t version = 0;
+    r.u32(version);
+    if (version != kJournalVersion) {
+        scan.error = "unsupported journal version " +
+            std::to_string(version);
+        return scan;
+    }
+    JournalHeader &h = scan.header;
+    std::uint32_t storedCrc = 0;
+    r.u64(h.seed);
+    r.u32(h.cores);
+    r.u32(h.pipesPerCore);
+    r.u32(h.strandsPerPipe);
+    r.u32(h.tasks);
+    r.u64(h.configHash);
+    r.u32(storedCrc);
+    if (storedCrc != crc32(bytes.data(), kHeaderSize - 4)) {
+        scan.error = "journal header checksum mismatch";
+        return scan;
     }
     scan.headerValid = true;
     scan.validBytes = kHeaderSize;
@@ -241,97 +126,59 @@ scanSegment(const std::vector<std::uint8_t> &bytes)
     // only advances at group boundaries, so a crash mid-batch (torn
     // record or missing group members) drops the whole group — it
     // will be re-measured on resume with the same reserved indices.
-    std::size_t offset = kHeaderSize;
     JournalBatch openGroup;
     std::uint32_t openRemaining = 0;
     bool groupOpen = false;
-
-    for (;;) {
-        if (bytes.size() - offset < 3)
-            break; // torn frame prefix (or clean EOF)
-        const std::uint8_t type = bytes[offset];
-        const std::uint16_t size =
-            static_cast<std::uint16_t>(bytes[offset + 1]) |
-            static_cast<std::uint16_t>(bytes[offset + 2]) << 8;
-        const std::size_t frame = 3u + size + 4u;
-        if (bytes.size() - offset < frame)
-            break; // torn record body
-        const std::uint32_t storedCrc =
-            static_cast<std::uint32_t>(bytes[offset + 3 + size]) |
-            static_cast<std::uint32_t>(bytes[offset + 4 + size]) << 8 |
-            static_cast<std::uint32_t>(bytes[offset + 5 + size])
-                << 16 |
-            static_cast<std::uint32_t>(bytes[offset + 6 + size])
-                << 24;
-        if (journalCrc32(bytes.data() + offset, 3u + size) !=
-            storedCrc)
-            break; // corrupt record: distrust it and everything after
-
-        ByteReader r(bytes.data() + offset + 3, size);
-        bool parsed = true;
-        switch (type) {
+    // @return false for a record that is out of place, of the wrong
+    // size or of an unknown type (written by a future version, or
+    // garbage): it ends the trusted prefix like a torn one.
+    const auto apply = [&](const FrameView &record) {
+        RecordReader in(record.payload);
+        switch (record.type) {
           case kRecordBatchBegin: {
-            if (size != kBatchBeginSize || groupOpen) {
-                parsed = false;
-                break;
-            }
-            openGroup = JournalBatch();
-            openGroup.round = r.u32();
-            openRemaining = r.u32();
+            JournalBatch group;
+            if (groupOpen || !in.u32(group.round) ||
+                !in.u32(openRemaining) || !in.exhausted())
+                return false;
+            openGroup = std::move(group);
             groupOpen = true;
-            break;
+            return true;
           }
           case kRecordMeasurement: {
-            if (size != kMeasurementSize || !groupOpen ||
-                openRemaining == 0) {
-                parsed = false;
-                break;
-            }
             JournalMeasurement m;
-            m.keyHash = r.u64();
-            m.outcome.value = r.f64();
-            const std::uint8_t status = r.u8();
-            if (status >
-                static_cast<std::uint8_t>(
-                    MeasureStatus::Quarantined)) {
-                parsed = false;
-                break;
-            }
-            m.outcome.status = static_cast<MeasureStatus>(status);
-            m.outcome.attempts = r.u32();
+            if (!groupOpen || openRemaining == 0 || !in.u64(m.keyHash) ||
+                !readOutcome(in, m.outcome) || !in.exhausted())
+                return false;
             openGroup.measurements.push_back(m);
             --openRemaining;
-            break;
+            return true;
           }
           case kRecordCheckpoint: {
-            if (size != kCheckpointSize || groupOpen) {
-                parsed = false;
-                break;
-            }
             JournalCheckpoint cp;
-            const std::uint8_t kind = r.u8();
-            if (kind >
-                static_cast<std::uint8_t>(CheckpointKind::Aborted)) {
-                parsed = false;
-                break;
-            }
+            std::uint8_t kind = 0;
+            if (groupOpen || !in.u8(kind) ||
+                kind > static_cast<std::uint8_t>(
+                           CheckpointKind::Aborted) ||
+                !in.u32(cp.round) || !in.u64(cp.attempted) ||
+                !in.u64(cp.sampled) || !in.f64(cp.best) ||
+                !in.exhausted())
+                return false;
             cp.kind = static_cast<CheckpointKind>(kind);
-            cp.round = r.u32();
-            cp.attempted = r.u64();
-            cp.sampled = r.u64();
-            cp.best = r.f64();
             scan.checkpoints.push_back(cp);
-            break;
+            return true;
           }
-          default:
-            parsed = false; // unknown type: written by a future
-                            // version or garbage — either way stop
-            break;
         }
-        if (!parsed)
-            break;
+        return false;
+    };
 
-        offset += frame;
+    // A torn or corrupt frame ends the trusted prefix too: distrust
+    // it and everything after.
+    std::size_t offset = kHeaderSize;
+    FrameView record;
+    while (readFrame(bytes.subspan(offset), record) ==
+               FrameStatus::Complete &&
+           apply(record)) {
+        offset += record.size();
         if (groupOpen && openRemaining == 0) {
             scan.batches.push_back(std::move(openGroup));
             groupOpen = false;
@@ -346,41 +193,12 @@ scanSegment(const std::vector<std::uint8_t> &bytes)
 
 } // anonymous namespace
 
-std::uint32_t
-journalCrc32(const void *data, std::size_t size, std::uint32_t seed)
-{
-    // IEEE 802.3 reflected CRC32, bytewise table; the table is built
-    // once on first use.
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-
-    const std::uint8_t *bytes = static_cast<const std::uint8_t *>(data);
-    std::uint32_t crc = seed ^ 0xffffffffu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ bytes[i]) & 0xffu] ^ (crc >> 8);
-    return crc ^ 0xffffffffu;
-}
-
 std::uint64_t
 journalKeyHash(const Assignment &assignment)
 {
-    // FNV-1a over the canonical key, so symmetric assignments hash
-    // equal — the same equivalence notion the memoization cache uses.
-    const std::string key = assignment.canonicalKey();
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : key) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    // Over the canonical key, so symmetric assignments hash equal —
+    // the same equivalence notion the memoization cache uses.
+    return fnv1a64(assignment.canonicalKey());
 }
 
 const char *
@@ -408,91 +226,63 @@ JournalRecovery
 recoverJournal(const std::string &path)
 {
     JournalRecovery recovery;
+
+    // The journal's files in chain order. A plain file at the exact
+    // path is a single-file journal, even when a stale segment chain
+    // also exists — the plain file is what the last writer committed
+    // to. Otherwise they are the segments <path>.000, <path>.001, ...
+    // up to the first missing index.
+    std::vector<std::string> files;
+    recovery.segmented = !base::io::fileExists(path);
+    if (!recovery.segmented) {
+        files.push_back(path);
+    } else {
+        for (std::uint32_t i = 0;
+             base::io::fileExists(journalSegmentPath(path, i)); ++i)
+            files.push_back(journalSegmentPath(path, i));
+    }
+
+    // Every file carries the full identity header; trust stops at the
+    // first unreadable, foreign or torn file — anything after the
+    // trust horizon was written by a writer whose predecessor state we
+    // cannot vouch for.
     std::vector<std::uint8_t> bytes;
-
-    // A plain file at the exact path is a single-file journal, even
-    // when a stale segment chain also exists — the plain file is what
-    // the last writer committed to.
-    if (base::io::readFileBytes(path, bytes).ok()) {
-        recovery.fileExists = true;
-        recovery.segmented = false;
-        recovery.activeSegment = path;
-        recovery.activeSegmentIndex = 0;
-        SegmentScan scan = scanSegment(bytes);
-        if (!scan.headerValid) {
-            recovery.error = scan.error;
-            return recovery;
-        }
-        recovery.headerValid = true;
-        recovery.header = scan.header;
-        recovery.batches = std::move(scan.batches);
-        recovery.checkpoints = std::move(scan.checkpoints);
-        recovery.validBytes = scan.validBytes;
-        recovery.truncatedBytes = scan.totalBytes - scan.validBytes;
-        recovery.segmentFiles.push_back(path);
-        return recovery;
-    }
-
-    if (!base::io::fileExists(journalSegmentPath(path, 0))) {
-        recovery.error = "journal does not exist or is unreadable";
-        return recovery;
-    }
-
-    // Segment chain: every segment carries the full identity header;
-    // trust stops at the first torn, foreign or unreadable segment —
-    // anything after the trust horizon was written by a writer whose
-    // predecessor state we cannot vouch for.
-    recovery.segmented = true;
-    for (std::uint32_t i = 0;; ++i) {
-        const std::string segPath = journalSegmentPath(path, i);
-        if (!base::io::readFileBytes(segPath, bytes).ok()) {
-            if (base::io::fileExists(segPath))
-                recovery.staleSegments.push_back(segPath);
-            break; // end of chain (or unreadable: stop trusting)
-        }
+    std::size_t trusted = 0;
+    while (trusted < files.size() &&
+           base::io::readFileBytes(files[trusted], bytes).ok()) {
         recovery.fileExists = true;
         SegmentScan scan = scanSegment(bytes);
-        const bool trusted = scan.headerValid &&
-            (i == 0 || scan.header == recovery.header);
-        if (i == 0 && !trusted) {
-            recovery.error = scan.error.empty()
-                ? "journal header mismatch"
-                : scan.error;
-            return recovery;
-        }
-        if (!trusted) {
-            recovery.staleSegments.push_back(segPath);
-            for (std::uint32_t j = i + 1;
-                 base::io::fileExists(journalSegmentPath(path, j));
-                 ++j)
-                recovery.staleSegments.push_back(
-                    journalSegmentPath(path, j));
-            break;
-        }
-        if (i == 0) {
+        if (trusted == 0) {
+            if (!scan.headerValid) {
+                recovery.error = scan.error;
+                return recovery;
+            }
             recovery.headerValid = true;
             recovery.header = scan.header;
+        } else if (!scan.headerValid ||
+                   !(scan.header == recovery.header)) {
+            break;
         }
         for (JournalBatch &b : scan.batches)
             recovery.batches.push_back(std::move(b));
         for (const JournalCheckpoint &cp : scan.checkpoints)
             recovery.checkpoints.push_back(cp);
-        recovery.segmentFiles.push_back(segPath);
-        recovery.activeSegment = segPath;
-        recovery.activeSegmentIndex = i;
+        recovery.activeSegment = files[trusted];
+        recovery.activeSegmentIndex = static_cast<std::uint32_t>(trusted);
         recovery.validBytes = scan.validBytes;
         recovery.truncatedBytes += scan.totalBytes - scan.validBytes;
-        if (!scan.clean()) {
-            // Torn tail mid-chain: successors were appended after
-            // bytes we just distrusted — they are stale, not valid.
-            for (std::uint32_t j = i + 1;
-                 base::io::fileExists(journalSegmentPath(path, j));
-                 ++j)
-                recovery.staleSegments.push_back(
-                    journalSegmentPath(path, j));
+        ++trusted;
+        // A torn tail: any successor was appended after bytes we just
+        // distrusted, so it is stale, not valid.
+        if (!scan.clean())
             break;
-        }
     }
+    if (trusted == 0) {
+        recovery.error = "journal does not exist or is unreadable";
+        return recovery;
+    }
+    recovery.segmentFiles.assign(files.begin(), files.begin() + trusted);
+    recovery.staleSegments.assign(files.begin() + trusted, files.end());
     return recovery;
 }
 
@@ -521,23 +311,6 @@ MeasurementJournal::MeasurementJournal(const std::string &path,
 }
 
 MeasurementJournal::MeasurementJournal(const std::string &path,
-                                       std::uint64_t validBytes)
-    : basePath_(path), activePath_(path)
-{
-    config_.sinkFactory = base::io::fileSinkFactory();
-    // Physically drop the untrustworthy tail before appending: a
-    // later recovery must never see the old bytes behind new records.
-    const base::io::IoResult truncated =
-        base::io::truncateFile(path, validBytes);
-    if (!truncated.ok()) {
-        handleIoFailure(truncated);
-        return;
-    }
-    openActive(/*truncate=*/false);
-    segmentBytes_ = validBytes;
-}
-
-MeasurementJournal::MeasurementJournal(const std::string &path,
                                        const JournalRecovery &recovery,
                                        JournalConfig config)
     : config_(std::move(config)), basePath_(path)
@@ -555,6 +328,8 @@ MeasurementJournal::MeasurementJournal(const std::string &path,
         : recovery.activeSegment;
     for (const std::string &stale : recovery.staleSegments)
         base::io::removeFile(stale);
+    // Physically drop the untrustworthy tail before appending: a
+    // later recovery must never see the old bytes behind new records.
     const base::io::IoResult truncated =
         base::io::truncateFile(activePath_, recovery.validBytes);
     if (!truncated.ok()) {
@@ -643,21 +418,15 @@ MeasurementJournal::writeChecked(const std::uint8_t *data,
 
 void
 MeasurementJournal::writeRecord(std::uint8_t type,
-                                const std::uint8_t *payload,
-                                std::size_t size)
+                                std::span<const std::uint8_t> payload)
 {
     if (!recording()) {
         ++droppedRecords_;
         return;
     }
-    SCHED_REQUIRE(size <= 0xffff, "journal record payload too large");
     std::vector<std::uint8_t> frame;
-    frame.reserve(3 + size + 4);
-    ByteWriter w(frame);
-    w.u8(type);
-    w.u16(static_cast<std::uint16_t>(size));
-    frame.insert(frame.end(), payload, payload + size);
-    w.u32(journalCrc32(frame.data(), frame.size()));
+    frame.reserve(kFrameOverhead + payload.size());
+    appendFrame(frame, type, payload);
     writeChecked(frame.data(), frame.size());
 }
 
@@ -704,25 +473,22 @@ MeasurementJournal::compactSealedSegment(const std::string &path)
     if (!scan.clean())
         return;
 
+    // The scan trusted every byte, so the records are whole frames
+    // up to the end of the file; a checkpoint's kind is its first
+    // payload byte.
     std::vector<std::uint8_t> out(bytes.begin(),
                                   bytes.begin() + kHeaderSize);
-    std::size_t offset = kHeaderSize;
-    while (offset < bytes.size()) {
-        const std::uint8_t type = bytes[offset];
-        const std::uint16_t size =
-            static_cast<std::uint16_t>(bytes[offset + 1]) |
-            static_cast<std::uint16_t>(bytes[offset + 2]) << 8;
-        const std::size_t frame = 3u + size + 4u;
-        bool keep = true;
-        if (type == kRecordCheckpoint && size == kCheckpointSize) {
-            const std::uint8_t kind = bytes[offset + 3];
-            keep = kind !=
+    std::span<const std::uint8_t> rest =
+        std::span<const std::uint8_t>(bytes).subspan(kHeaderSize);
+    FrameView record;
+    while (readFrame(rest, record) == FrameStatus::Complete) {
+        const bool progress = record.type == kRecordCheckpoint &&
+            record.payload[0] ==
                 static_cast<std::uint8_t>(CheckpointKind::Progress);
-        }
-        if (keep)
-            out.insert(out.end(), bytes.begin() + offset,
-                       bytes.begin() + offset + frame);
-        offset += frame;
+        if (!progress)
+            out.insert(out.end(), rest.begin(),
+                       rest.begin() + record.size());
+        rest = rest.subspan(record.size());
     }
     if (out.size() == bytes.size())
         return; // nothing to reclaim
@@ -757,11 +523,10 @@ MeasurementJournal::beginBatch(std::uint32_t round,
         segmentBytes_ >= config_.segmentBytes)
         rotateSegment();
     std::vector<std::uint8_t> payload;
-    payload.reserve(kBatchBeginSize);
-    ByteWriter w(payload);
+    RecordWriter w(payload);
     w.u32(round);
     w.u32(count);
-    writeRecord(kRecordBatchBegin, payload.data(), payload.size());
+    writeRecord(kRecordBatchBegin, payload);
 }
 
 void
@@ -769,13 +534,10 @@ MeasurementJournal::appendMeasurement(
     std::uint64_t keyHash, const MeasurementOutcome &outcome)
 {
     std::vector<std::uint8_t> payload;
-    payload.reserve(kMeasurementSize);
-    ByteWriter w(payload);
+    RecordWriter w(payload);
     w.u64(keyHash);
-    w.f64(outcome.value);
-    w.u8(static_cast<std::uint8_t>(outcome.status));
-    w.u32(outcome.attempts);
-    writeRecord(kRecordMeasurement, payload.data(), payload.size());
+    writeOutcome(w, outcome);
+    writeRecord(kRecordMeasurement, payload);
 }
 
 void
@@ -786,14 +548,13 @@ MeasurementJournal::appendCheckpoint(
         segmentBytes_ >= config_.segmentBytes)
         rotateSegment();
     std::vector<std::uint8_t> payload;
-    payload.reserve(kCheckpointSize);
-    ByteWriter w(payload);
+    RecordWriter w(payload);
     w.u8(static_cast<std::uint8_t>(checkpoint.kind));
     w.u32(checkpoint.round);
     w.u64(checkpoint.attempted);
     w.u64(checkpoint.sampled);
     w.f64(checkpoint.best);
-    writeRecord(kRecordCheckpoint, payload.data(), payload.size());
+    writeRecord(kRecordCheckpoint, payload);
 }
 
 void

@@ -70,16 +70,19 @@
  * header against segment 0, and stops trusting at the first torn or
  * foreign segment.
  *
- * File format (all integers little-endian):
+ * File format. Records are the frames of core/record_codec.hh, the
+ * one definition of the frame, field and outcome layouts (all
+ * integers little-endian, doubles as raw bits); the shard pipe
+ * protocol uses the same frames:
  *
  *   header   := "SJNL" version:u32 seed:u64 cores:u32 pipesPerCore:u32
  *               strandsPerPipe:u32 tasks:u32 configHash:u64 crc:u32
- *               (crc = CRC32 of all preceding header bytes)
- *   record   := type:u8 size:u16 payload:size*u8 crc:u32
- *               (crc = CRC32 of type + size + payload)
+ *               (crc = crc32 of all preceding header bytes)
+ *   record   := frame (type:u8 size:u16 payload crc:u32)
  *   BatchBegin   (type 1) := round:u32 count:u32
- *   Measurement  (type 2) := keyHash:u64 valueBits:u64 status:u8
- *                            attempts:u32
+ *   Measurement  (type 2) := keyHash:u64 outcome
+ *                            (outcome = valueBits:u64 status:u8
+ *                             attempts:u32)
  *   Checkpoint   (type 3) := kind:u8 round:u32 attempted:u64
  *                            sampled:u64 bestBits:u64
  *
@@ -95,6 +98,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,14 +110,6 @@ namespace statsched
 {
 namespace core
 {
-
-/**
- * CRC32 (IEEE 802.3, polynomial 0xEDB88320, reflected) of a byte
- * range. Chainable: pass the previous return value as `seed` to
- * extend a running checksum.
- */
-std::uint32_t journalCrc32(const void *data, std::size_t size,
-                           std::uint32_t seed = 0);
 
 /** On-disk journal format version understood by this build. */
 constexpr std::uint32_t kJournalVersion = 1;
@@ -325,14 +321,6 @@ class MeasurementJournal
                        JournalConfig config = {});
 
     /**
-     * Reopens a single-file journal for appending after recovery: the
-     * file is first truncated to `validBytes` so the untrustworthy
-     * tail can never be read back by a later recovery.
-     */
-    MeasurementJournal(const std::string &path,
-                       std::uint64_t validBytes);
-
-    /**
      * Reopens a recovered journal (single-file or segmented) for
      * appending: deletes stale segments, truncates the active file to
      * the trusted prefix, and continues the chain in the mode
@@ -396,8 +384,8 @@ class MeasurementJournal
 
   private:
     void openActive(bool truncate);
-    void writeRecord(std::uint8_t type, const std::uint8_t *payload,
-                     std::size_t size);
+    void writeRecord(std::uint8_t type,
+                     std::span<const std::uint8_t> payload);
     bool writeChecked(const std::uint8_t *data, std::size_t size);
     void handleIoFailure(const base::io::IoResult &result);
     void rotateSegment();

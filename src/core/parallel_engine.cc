@@ -39,20 +39,6 @@ ParallelEngine::measureBatchOutcome(std::span<const Assignment> batch,
     const Assignment *items = batch.data();
     MeasurementOutcome *results = out.data();
 
-    if (pool_.threads() == 1) {
-        // Degenerate single-thread configuration: skip the pool
-        // entirely and run the kernel inline, with the same per-item
-        // containment semantics as the worker path.
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            try {
-                results[i] = kernel(items[i], i);
-            } catch (const std::exception &) {
-                results[i] = MeasurementOutcome::failure(
-                    MeasureStatus::Errored);
-            }
-        }
-        return;
-    }
     pool_.run(batch.size(),
               base::WorkerPool::defaultChunk(batch.size(),
                                              pool_.threads()),

@@ -1,133 +1,19 @@
 /**
  * @file
- * Shard wire-protocol implementation: journal-style CRC framing plus
- * the typed message encoders/decoders.
+ * Shard wire-protocol implementation: the frame parser and the typed
+ * message encoders/decoders, over the record codec.
  */
 
 #include "core/shard_protocol.hh"
 
-#include <cstring>
-#include <limits>
+#include <algorithm>
 
-#include "base/check.hh"
-#include "core/journal.hh"
+#include "core/record_codec.hh"
 
 namespace statsched
 {
 namespace core
 {
-
-namespace
-{
-
-/** Little-endian append helpers (mirrors the journal's ByteWriter). */
-void
-putU8(std::vector<std::uint8_t> &out, std::uint8_t v)
-{
-    out.push_back(v);
-}
-
-void
-putU16(std::vector<std::uint8_t> &out, std::uint16_t v)
-{
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-}
-
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
-}
-
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
-}
-
-/** Bounds-checked little-endian reader over a frame payload. */
-class PayloadReader
-{
-  public:
-    explicit PayloadReader(const std::vector<std::uint8_t> &bytes)
-        : bytes_(bytes)
-    {
-    }
-
-    bool
-    u8(std::uint8_t &v)
-    {
-        if (pos_ + 1 > bytes_.size())
-            return false;
-        v = bytes_[pos_++];
-        return true;
-    }
-
-    bool
-    u32(std::uint32_t &v)
-    {
-        if (pos_ + 4 > bytes_.size())
-            return false;
-        v = 0;
-        for (int shift = 0; shift < 32; shift += 8)
-            v |= static_cast<std::uint32_t>(bytes_[pos_++]) << shift;
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t &v)
-    {
-        if (pos_ + 8 > bytes_.size())
-            return false;
-        v = 0;
-        for (int shift = 0; shift < 64; shift += 8)
-            v |= static_cast<std::uint64_t>(bytes_[pos_++]) << shift;
-        return true;
-    }
-
-    bool exhausted() const { return pos_ == bytes_.size(); }
-
-  private:
-    const std::vector<std::uint8_t> &bytes_;
-    std::size_t pos_ = 0;
-};
-
-/** valueBits <-> double, the journal's bit-exact representation. */
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    return bits;
-}
-
-double
-bitsDouble(std::uint64_t bits)
-{
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-}
-
-} // anonymous namespace
-
-void
-appendShardFrame(std::vector<std::uint8_t> &out, ShardMsg type,
-                 const std::uint8_t *payload, std::size_t size)
-{
-    SCHED_REQUIRE(size <= std::numeric_limits<std::uint16_t>::max(),
-                  "shard frame payload exceeds the u16 size field");
-    const std::size_t start = out.size();
-    putU8(out, static_cast<std::uint8_t>(type));
-    putU16(out, static_cast<std::uint16_t>(size));
-    out.insert(out.end(), payload, payload + size);
-    const std::uint32_t crc =
-        journalCrc32(out.data() + start, out.size() - start);
-    putU32(out, crc);
-}
 
 void
 ShardFrameParser::feed(const std::uint8_t *data, std::size_t size)
@@ -152,43 +38,55 @@ ShardFrameParser::next(ShardFrame &frame)
 {
     if (corrupt_)
         return false;
-    const std::size_t avail = buffer_.size() - pos_;
-    if (avail < 3)
+    FrameView view;
+    switch (readFrame(std::span<const std::uint8_t>(buffer_).subspan(pos_),
+                      view)) {
+      case FrameStatus::Incomplete:
         return false;
-    const std::uint16_t size = static_cast<std::uint16_t>(
-        buffer_[pos_ + 1] |
-        (static_cast<std::uint16_t>(buffer_[pos_ + 2]) << 8));
-    const std::size_t total = 3u + size + 4u;
-    if (avail < total)
-        return false;
-    const std::uint8_t *base = buffer_.data() + pos_;
-    std::uint32_t wireCrc = 0;
-    for (int b = 0; b < 4; ++b) {
-        wireCrc |= static_cast<std::uint32_t>(base[3 + size + b])
-            << (8 * b);
-    }
-    if (journalCrc32(base, 3u + size) != wireCrc) {
+      case FrameStatus::Corrupt:
         corrupt_ = true;
         return false;
+      case FrameStatus::Complete:
+        break;
     }
-    frame.type = base[0];
-    frame.payload.assign(base + 3, base + 3 + size);
-    pos_ += total;
+    frame.type = view.type;
+    frame.payload.assign(view.payload.begin(), view.payload.end());
+    pos_ += view.size();
     return true;
 }
+
+namespace
+{
+
+/** Appends one `type` message framed around `payload`. */
+void
+appendMessage(std::vector<std::uint8_t> &out, ShardMsg type,
+              std::span<const std::uint8_t> payload)
+{
+    appendFrame(out, static_cast<std::uint8_t>(type), payload);
+}
+
+/** @return true when `frame` is a `type` message. */
+bool
+isMessage(const ShardFrame &frame, ShardMsg type)
+{
+    return frame.type == static_cast<std::uint8_t>(type);
+}
+
+} // anonymous namespace
 
 void
 appendHello(std::vector<std::uint8_t> &out, const ShardHello &hello)
 {
     std::vector<std::uint8_t> payload;
-    putU32(payload, hello.version);
-    putU64(payload, hello.configHash);
-    putU32(payload, hello.cores);
-    putU32(payload, hello.pipesPerCore);
-    putU32(payload, hello.strandsPerPipe);
-    putU32(payload, hello.tasks);
-    appendShardFrame(out, ShardMsg::Hello, payload.data(),
-                     payload.size());
+    RecordWriter w(payload);
+    w.u32(hello.version);
+    w.u64(hello.configHash);
+    w.u32(hello.cores);
+    w.u32(hello.pipesPerCore);
+    w.u32(hello.strandsPerPipe);
+    w.u32(hello.tasks);
+    appendMessage(out, ShardMsg::Hello, payload);
 }
 
 void
@@ -196,12 +94,12 @@ appendEvalRequest(std::vector<std::uint8_t> &out,
                   const ShardEvalRequest &request)
 {
     std::vector<std::uint8_t> payload;
-    putU32(payload, request.reqId);
-    putU64(payload, request.cursorBase);
-    putU32(payload, request.batchSize);
-    putU32(payload, request.itemCount);
-    appendShardFrame(out, ShardMsg::EvalRequest, payload.data(),
-                     payload.size());
+    RecordWriter w(payload);
+    w.u32(request.reqId);
+    w.u64(request.cursorBase);
+    w.u32(request.batchSize);
+    w.u32(request.itemCount);
+    appendMessage(out, ShardMsg::EvalRequest, payload);
 }
 
 void
@@ -209,12 +107,12 @@ appendEvalItem(std::vector<std::uint8_t> &out,
                const ShardEvalItem &item)
 {
     std::vector<std::uint8_t> payload;
-    putU32(payload, item.localIndex);
-    putU32(payload, static_cast<std::uint32_t>(item.contexts.size()));
+    RecordWriter w(payload);
+    w.u32(item.localIndex);
+    w.u32(static_cast<std::uint32_t>(item.contexts.size()));
     for (const ContextId ctx : item.contexts)
-        putU32(payload, ctx);
-    appendShardFrame(out, ShardMsg::EvalItem, payload.data(),
-                     payload.size());
+        w.u32(ctx);
+    appendMessage(out, ShardMsg::EvalItem, payload);
 }
 
 void
@@ -222,10 +120,10 @@ appendEvalResponse(std::vector<std::uint8_t> &out,
                    const ShardEvalResponse &response)
 {
     std::vector<std::uint8_t> payload;
-    putU32(payload, response.reqId);
-    putU32(payload, response.itemCount);
-    appendShardFrame(out, ShardMsg::EvalResponse, payload.data(),
-                     payload.size());
+    RecordWriter w(payload);
+    w.u32(response.reqId);
+    w.u32(response.itemCount);
+    appendMessage(out, ShardMsg::EvalResponse, payload);
 }
 
 void
@@ -233,37 +131,32 @@ appendEvalOutcome(std::vector<std::uint8_t> &out,
                   const ShardEvalOutcome &outcome)
 {
     std::vector<std::uint8_t> payload;
-    putU32(payload, outcome.localIndex);
-    putU64(payload, doubleBits(outcome.outcome.value));
-    putU8(payload,
-          static_cast<std::uint8_t>(outcome.outcome.status));
-    putU32(payload, outcome.outcome.attempts);
-    appendShardFrame(out, ShardMsg::EvalOutcome, payload.data(),
-                     payload.size());
+    RecordWriter w(payload);
+    w.u32(outcome.localIndex);
+    writeOutcome(w, outcome.outcome);
+    appendMessage(out, ShardMsg::EvalOutcome, payload);
 }
 
 void
 appendPing(std::vector<std::uint8_t> &out, std::uint32_t nonce)
 {
     std::vector<std::uint8_t> payload;
-    putU32(payload, nonce);
-    appendShardFrame(out, ShardMsg::Ping, payload.data(),
-                     payload.size());
+    RecordWriter(payload).u32(nonce);
+    appendMessage(out, ShardMsg::Ping, payload);
 }
 
 void
 appendPong(std::vector<std::uint8_t> &out, std::uint32_t nonce)
 {
     std::vector<std::uint8_t> payload;
-    putU32(payload, nonce);
-    appendShardFrame(out, ShardMsg::Pong, payload.data(),
-                     payload.size());
+    RecordWriter(payload).u32(nonce);
+    appendMessage(out, ShardMsg::Pong, payload);
 }
 
 void
 appendShutdown(std::vector<std::uint8_t> &out)
 {
-    appendShardFrame(out, ShardMsg::Shutdown, nullptr, 0);
+    appendMessage(out, ShardMsg::Shutdown, {});
 }
 
 void
@@ -272,31 +165,27 @@ appendWorkerError(std::vector<std::uint8_t> &out,
 {
     // Truncate rather than fail: the description is diagnostic only.
     const std::size_t n = std::min<std::size_t>(detail.size(), 1024);
-    appendShardFrame(
+    appendMessage(
         out, ShardMsg::WorkerError,
-        reinterpret_cast<const std::uint8_t *>(detail.data()), n);
+        {reinterpret_cast<const std::uint8_t *>(detail.data()), n});
 }
 
 bool
 decodeHello(const ShardFrame &frame, ShardHello &hello)
 {
-    if (frame.type != static_cast<std::uint8_t>(ShardMsg::Hello))
-        return false;
-    PayloadReader in(frame.payload);
-    return in.u32(hello.version) && in.u64(hello.configHash) &&
-        in.u32(hello.cores) && in.u32(hello.pipesPerCore) &&
-        in.u32(hello.strandsPerPipe) && in.u32(hello.tasks) &&
-        in.exhausted();
+    RecordReader in(frame.payload);
+    return isMessage(frame, ShardMsg::Hello) && in.u32(hello.version) &&
+        in.u64(hello.configHash) && in.u32(hello.cores) &&
+        in.u32(hello.pipesPerCore) && in.u32(hello.strandsPerPipe) &&
+        in.u32(hello.tasks) && in.exhausted();
 }
 
 bool
 decodeEvalRequest(const ShardFrame &frame, ShardEvalRequest &request)
 {
-    if (frame.type !=
-        static_cast<std::uint8_t>(ShardMsg::EvalRequest))
-        return false;
-    PayloadReader in(frame.payload);
-    return in.u32(request.reqId) && in.u64(request.cursorBase) &&
+    RecordReader in(frame.payload);
+    return isMessage(frame, ShardMsg::EvalRequest) &&
+        in.u32(request.reqId) && in.u64(request.cursorBase) &&
         in.u32(request.batchSize) && in.u32(request.itemCount) &&
         in.exhausted();
 }
@@ -304,68 +193,52 @@ decodeEvalRequest(const ShardFrame &frame, ShardEvalRequest &request)
 bool
 decodeEvalItem(const ShardFrame &frame, ShardEvalItem &item)
 {
-    if (frame.type != static_cast<std::uint8_t>(ShardMsg::EvalItem))
-        return false;
-    PayloadReader in(frame.payload);
+    RecordReader in(frame.payload);
     std::uint32_t count = 0;
-    if (!in.u32(item.localIndex) || !in.u32(count))
+    // The count comes off the wire: it must match the payload before
+    // it sizes anything.
+    if (!isMessage(frame, ShardMsg::EvalItem) ||
+        !in.u32(item.localIndex) || !in.u32(count) ||
+        in.remaining() != std::size_t{count} * sizeof(ContextId))
         return false;
     item.contexts.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        if (!in.u32(item.contexts[i]))
-            return false;
-    }
-    return in.exhausted();
+    for (ContextId &ctx : item.contexts)
+        in.u32(ctx);
+    return true;
 }
 
 bool
 decodeEvalResponse(const ShardFrame &frame,
                    ShardEvalResponse &response)
 {
-    if (frame.type !=
-        static_cast<std::uint8_t>(ShardMsg::EvalResponse))
-        return false;
-    PayloadReader in(frame.payload);
-    return in.u32(response.reqId) && in.u32(response.itemCount) &&
+    RecordReader in(frame.payload);
+    return isMessage(frame, ShardMsg::EvalResponse) &&
+        in.u32(response.reqId) && in.u32(response.itemCount) &&
         in.exhausted();
 }
 
 bool
 decodeEvalOutcome(const ShardFrame &frame, ShardEvalOutcome &outcome)
 {
-    if (frame.type !=
-        static_cast<std::uint8_t>(ShardMsg::EvalOutcome))
-        return false;
-    PayloadReader in(frame.payload);
-    std::uint64_t bits = 0;
-    std::uint8_t status = 0;
-    if (!in.u32(outcome.localIndex) || !in.u64(bits) ||
-        !in.u8(status) || !in.u32(outcome.outcome.attempts) ||
-        !in.exhausted())
-        return false;
-    if (status >
-        static_cast<std::uint8_t>(MeasureStatus::Quarantined))
-        return false;
-    outcome.outcome.value = bitsDouble(bits);
-    outcome.outcome.status = static_cast<MeasureStatus>(status);
-    return true;
+    RecordReader in(frame.payload);
+    return isMessage(frame, ShardMsg::EvalOutcome) &&
+        in.u32(outcome.localIndex) && readOutcome(in, outcome.outcome) &&
+        in.exhausted();
 }
 
 bool
 decodePingPong(const ShardFrame &frame, std::uint32_t &nonce)
 {
-    if (frame.type != static_cast<std::uint8_t>(ShardMsg::Ping) &&
-        frame.type != static_cast<std::uint8_t>(ShardMsg::Pong))
-        return false;
-    PayloadReader in(frame.payload);
-    return in.u32(nonce) && in.exhausted();
+    RecordReader in(frame.payload);
+    return (isMessage(frame, ShardMsg::Ping) ||
+            isMessage(frame, ShardMsg::Pong)) &&
+        in.u32(nonce) && in.exhausted();
 }
 
 bool
 decodeWorkerError(const ShardFrame &frame, std::string &detail)
 {
-    if (frame.type !=
-        static_cast<std::uint8_t>(ShardMsg::WorkerError))
+    if (!isMessage(frame, ShardMsg::WorkerError))
         return false;
     detail.assign(frame.payload.begin(), frame.payload.end());
     return true;
@@ -374,12 +247,7 @@ decodeWorkerError(const ShardFrame &frame, std::string &detail)
 std::uint64_t
 shardConfigFingerprint(const std::string &config)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : config) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    return fnv1a64(config);
 }
 
 } // namespace core

@@ -4,17 +4,16 @@
  *
  * core::ShardedEngine partitions measurement batches across worker
  * processes (tools/statsched_worker.cc) over plain stdin/stdout
- * pipes. The framing is the measurement journal's record framing
- * (core/journal.hh) reused verbatim:
+ * pipes. Messages are the frames of core/record_codec.hh, the one
+ * definition of the frame, field and outcome layouts, which the
+ * measurement journal (core/journal.hh) writes to disk too:
  *
  *   frame := type:u8 size:u16 payload:size*u8 crc:u32
- *            (all integers little-endian; crc = journalCrc32 of
- *             type + size + payload)
  *
- * so one checksum implementation protects both the on-disk and the
- * on-pipe representation of a measurement, and a frame torn by a
- * dying worker is detected the same way a torn journal record is:
- * by its CRC, never trusted.
+ * so one codec protects both the on-disk and the on-pipe
+ * representation of a measurement, and a frame torn by a dying
+ * worker is detected the same way a torn journal record is: by its
+ * CRC, never trusted.
  *
  * Messages (payload layouts; multi-byte integers little-endian):
  *
@@ -26,8 +25,9 @@
  *   EvalItem     (c->w)  localIndex:u32 contextCount:u32
  *                        contexts:contextCount*u32
  *   EvalResponse (w->c)  reqId:u32 itemCount:u32
- *   EvalOutcome  (w->c)  localIndex:u32 valueBits:u64 status:u8
- *                        attempts:u32
+ *   EvalOutcome  (w->c)  localIndex:u32 outcome
+ *                        (outcome = valueBits:u64 status:u8
+ *                         attempts:u32)
  *   Ping         (c->w)  nonce:u32
  *   Pong         (w->c)  nonce:u32
  *   Shutdown     (c->w)  (empty)
@@ -84,11 +84,6 @@ struct ShardFrame
     std::uint8_t type = 0;
     std::vector<std::uint8_t> payload;
 };
-
-/** Appends one CRC-framed message to `out`. Payloads are bounded by
- *  the u16 size field; all messages above fit with huge margin. */
-void appendShardFrame(std::vector<std::uint8_t> &out, ShardMsg type,
-                      const std::uint8_t *payload, std::size_t size);
 
 /**
  * Incremental frame parser over an arbitrarily-chunked byte stream

@@ -98,7 +98,6 @@ ShardWorker::handleFrame(const ShardFrame &frame,
             request_.itemCount > request_.batchSize)
             return fail("EvalRequest with impossible counts", out);
         items_.clear();
-        items_.reserve(request_.itemCount);
         inRequest_ = true;
         return true;
       }

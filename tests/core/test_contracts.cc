@@ -99,15 +99,19 @@ TEST(ContractContainment, ParallelWorkerViolationBecomesErrored)
 {
     // A contract violation raised on a worker-pool thread must not
     // std::terminate the process; it degrades to a structured
-    // Errored outcome per item.
-    ContractViolatingEngine inner(1u << 30, /*recover=*/false);
-    ParallelEngine parallel(inner, 4);
+    // Errored outcome per item. At one thread the pool has no workers
+    // and the calling thread runs every item itself.
+    for (const unsigned threads : {1u, 4u}) {
+        ContractViolatingEngine inner(1u << 30, /*recover=*/false);
+        ParallelEngine parallel(inner, threads);
 
-    const auto batch = drawBatch(32);
-    std::vector<MeasurementOutcome> outcomes(batch.size());
-    parallel.measureBatchOutcome(batch, outcomes);
-    for (const auto &outcome : outcomes)
-        EXPECT_EQ(MeasureStatus::Errored, outcome.status);
+        const auto batch = drawBatch(32);
+        std::vector<MeasurementOutcome> outcomes(batch.size());
+        parallel.measureBatchOutcome(batch, outcomes);
+        for (const auto &outcome : outcomes)
+            EXPECT_EQ(MeasureStatus::Errored, outcome.status)
+                << threads << " thread(s)";
+    }
 }
 
 TEST(ContractContainment, ParallelDoubleChannelDegradesToNaN)

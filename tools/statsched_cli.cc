@@ -36,6 +36,7 @@
 #include "core/iterative.hh"
 #include "core/memoizing_engine.hh"
 #include "core/parallel_engine.hh"
+#include "core/record_codec.hh"
 #include "core/resilient_engine.hh"
 #include "core/shard_protocol.hh"
 #include "core/sharded_engine.hh"
@@ -519,18 +520,6 @@ cmdEstimate(int argc, char **argv)
     return 0;
 }
 
-/** FNV-1a of the canonical campaign-configuration string. */
-std::uint64_t
-hashConfigString(const std::string &config)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : config) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 /**
  * Exit-code map of the iterate command (documented in cmdHelp and
  * README): a campaign that did not deliver its target must not exit
@@ -708,7 +697,7 @@ cmdIterate(int argc, char **argv)
     // results are bit-identical under any thread count; budgets and
     // deadlines excluded — tightening or dropping them across a
     // resume is legitimate).
-    campaign.configHash = hashConfigString(
+    campaign.configHash = core::fnv1a64(
         args.get("benchmark") + "|" + args.get("instances") + "|" +
         args.get("fault-rate") + "|" + args.get("fault-garbage") +
         "|" + args.get("fault-outlier") + "|" +
