@@ -15,6 +15,11 @@
 # it; a change to the simulator's values makes the resumed stdout
 # differ. Either fails here, before any journal in the field does.
 #
+# Older builds could rotate a journal into a segment chain
+# (<path>.000, <path>.001, ...). A second step copies the fixture to
+# chain.sj.000 alone and requires `--journal chain.sj --resume` to
+# refuse it by name: exit 2 and "segment chain" on stderr.
+#
 # Usage: cmake -DCLI=<statsched_cli> -DFIXTURE=<journal>
 #              -DWORK_DIR=<scratch> -P check_journal_compat.cmake
 
@@ -71,3 +76,23 @@ if(CMAKE_MATCH_1 EQUAL 0)
 endif()
 message(STATUS "fixture resumed: ${CMAKE_MATCH_1} measurements "
     "replayed, stdout identical to the uninterrupted run")
+
+file(REMOVE "${WORK_DIR}/chain.sj")
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E copy "${FIXTURE}" "${WORK_DIR}/chain.sj.000"
+    RESULT_VARIABLE copied)
+if(NOT copied EQUAL 0)
+    message(FATAL_ERROR "cannot copy ${FIXTURE} to ${WORK_DIR}")
+endif()
+execute_process(
+    COMMAND ${CLI} ${CAMPAIGN} --journal "${WORK_DIR}/chain.sj" --resume
+    OUTPUT_FILE "${WORK_DIR}/chain.out"
+    ERROR_FILE "${WORK_DIR}/chain.err"
+    RESULT_VARIABLE chain_code)
+file(READ "${WORK_DIR}/chain.err" chain_err)
+if(NOT chain_code EQUAL 2 OR NOT chain_err MATCHES "segment chain")
+    message(FATAL_ERROR "resuming a segment chain exited ${chain_code} "
+        "without naming it; it must exit 2 with \"segment chain\" on "
+        "stderr (${WORK_DIR}/chain.err)")
+endif()
+message(STATUS "segment chain refused by name")

@@ -22,8 +22,8 @@
  *  - FaultInjectingSink wraps any sink and fails deterministically
  *    once a cumulative byte budget is exhausted — the write that
  *    crosses the budget is split exactly at the boundary, which is
- *    what a real disk filling up mid-record looks like. The shared
- *    FaultPlan carries the budget across segment rotations.
+ *    what a real disk filling up mid-record looks like. A FaultPlan
+ *    is one disk: every sink wrapped in it draws on its budget.
  *
  * src/core is linted (statsched-raw-file-io) to route all file I/O
  * through this layer; the raw syscalls live here, in src/base, where
@@ -224,8 +224,9 @@ class MemorySink : public Sink
 
 /**
  * Deterministic failure budget shared by every FaultInjectingSink of
- * one scenario. Cumulative across sinks, so a journal that rotates
- * segments still hits the fault at the same global byte offset.
+ * one scenario. Cumulative across sinks, like the free space of one
+ * disk: the fault fires at the same global byte offset however many
+ * files the scenario writes.
  */
 struct FaultPlan
 {
@@ -290,9 +291,9 @@ class FaultInjectingSink : public Sink
 
 /**
  * Creates the sink for a (possibly new) file. `truncate` empties an
- * existing file first; append otherwise. Used by the journal for the
- * main file and each rotated segment, so a factory injected here
- * reaches every byte the journal ever writes.
+ * existing file first; append otherwise. The journal opens its file
+ * through it, so a factory injected here reaches every byte the
+ * journal ever writes.
  */
 using SinkFactory = std::function<std::unique_ptr<Sink>(
     const std::string &path, bool truncate, IoResult &result)>;
@@ -383,16 +384,6 @@ removeFile(const std::string &path)
 {
     if (::unlink(path.c_str()) < 0 && errno != ENOENT)
         return IoResult::failure(errno, "unlink " + path);
-    return IoResult();
-}
-
-/** Atomically replaces `to` with `from` (same filesystem). */
-inline IoResult
-renameFile(const std::string &from, const std::string &to)
-{
-    if (::rename(from.c_str(), to.c_str()) < 0)
-        return IoResult::failure(errno,
-                                 "rename " + from + " -> " + to);
     return IoResult();
 }
 

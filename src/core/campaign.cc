@@ -40,7 +40,6 @@ runCampaign(PerformanceEngine &engine, const Topology &topology,
     if (!options.journalPath.empty()) {
         JournalConfig journalConfig;
         journalConfig.onError = options.journalOnError;
-        journalConfig.segmentBytes = options.journalSegmentBytes;
         journalConfig.sinkFactory = options.journalSinkFactory;
         if (options.health != nullptr) {
             Health *health = options.health;
@@ -107,9 +106,9 @@ runCampaign(PerformanceEngine &engine, const Topology &topology,
         if (journaling) {
             journaling->setRound(static_cast<std::uint32_t>(round));
             // Periodic Progress checkpoint at every round boundary:
-            // operator telemetry for a crashed run, and the material
-            // segment compaction reclaims (no-op while replaying —
-            // the original run already journaled these rounds).
+            // operator telemetry for a crashed run (no-op while
+            // replaying — the original run already journaled these
+            // rounds).
             if (round > 0 && !journaling->replaying()) {
                 JournalCheckpoint progress;
                 progress.kind = CheckpointKind::Progress;
@@ -157,10 +156,6 @@ runCampaign(PerformanceEngine &engine, const Topology &topology,
         result.journalDegraded = journaling->journalDegraded();
         result.unjournaledMeasurements =
             journaling->unjournaledMeasurements();
-        result.journalSegmentsRotated =
-            journaling->journal().segmentsRotated();
-        result.journalCompactedBytes =
-            journaling->journal().compactedBytes();
         if (journaling->mismatch())
             result.journalError = "journal replay diverged: " +
                 journaling->mismatchDetail();

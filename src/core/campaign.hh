@@ -79,10 +79,8 @@ struct CampaignOptions
      *  results but reduced durability. Operational only — not part
      *  of the campaign identity hash. */
     JournalErrorPolicy journalOnError = JournalErrorPolicy::Abort;
-    /** Rotate journal segments at this size (0 = single file). */
-    std::uint64_t journalSegmentBytes = 0;
-    /** Sink source for journal files; empty means real files. Tests
-     *  and the chaos harness inject fault-injecting factories. */
+    /** Sink source for the journal file; empty means a real file.
+     *  Tests and the chaos harness inject fault-injecting factories. */
     base::io::SinkFactory journalSinkFactory;
 
     /** Health aggregate receiving journal/shard/estimator
@@ -143,10 +141,6 @@ struct CampaignResult
     /** Measurements that never reached the journal after it
      *  degraded. */
     std::uint64_t unjournaledMeasurements = 0;
-    /** Journal segment rotations performed this run. */
-    std::uint64_t journalSegmentsRotated = 0;
-    /** Bytes reclaimed by compacting sealed journal segments. */
-    std::uint64_t journalCompactedBytes = 0;
 
     /** @return true when the campaign stopped on an external stop
      *  condition (not convergence, not the sample cap). */

@@ -32,6 +32,13 @@ constexpr std::array<std::uint8_t, 4> kMagic = {'S', 'J', 'N', 'L'};
 constexpr std::size_t kHeaderSize =
     4 + 4 + 8 + 4 * 4 + 8 + 4;
 
+/** Extra immediate attempts to push the unwritten remainder of a
+ *  record before declaring the sink broken. The injected Clock has no
+ *  sleep — and a full disk does not heal in microseconds — so the
+ *  backoff is bounded retries, not timed waits; the error policy
+ *  decides what happens when they run out. */
+constexpr std::uint32_t kWriteRetries = 2;
+
 /** Serializes the header: magic, version, identity, trailing crc. */
 std::vector<std::uint8_t>
 serializeHeader(const JournalHeader &header)
@@ -54,58 +61,69 @@ serializeHeader(const JournalHeader &header)
     return bytes;
 }
 
-/** Record-level scan of one journal file (header + records). */
-struct SegmentScan
-{
-    bool headerValid = false;
-    JournalHeader header;
-    std::vector<JournalBatch> batches;
-    std::vector<JournalCheckpoint> checkpoints;
-    std::uint64_t validBytes = 0; //!< trusted prefix of this file
-    std::uint64_t totalBytes = 0; //!< file size as read
-    std::string error;            //!< unusable header, if any
+} // anonymous namespace
 
-    /** @return true when every byte of the file is trusted (no torn
-     *  tail) — the condition for trusting a successor segment. */
-    bool
-    clean() const
-    {
-        return headerValid && validBytes == totalBytes;
+std::uint64_t
+journalKeyHash(const Assignment &assignment)
+{
+    // Over the canonical key, so symmetric assignments hash equal —
+    // the same equivalence notion the memoization cache uses.
+    return fnv1a64(assignment.canonicalKey());
+}
+
+const char *
+journalErrorPolicyName(JournalErrorPolicy policy)
+{
+    switch (policy) {
+      case JournalErrorPolicy::Abort:
+        return "abort";
+      case JournalErrorPolicy::Degrade:
+        return "degrade";
     }
-};
+    return "?";
+}
 
-/**
- * Validates one journal file: header, then records with group-commit
- * semantics (validBytes only advances at complete batch groups and
- * checkpoints). Shared by recovery and segment compaction.
- */
-SegmentScan
-scanSegment(std::span<const std::uint8_t> bytes)
+JournalRecovery
+recoverJournal(const std::string &path)
 {
-    SegmentScan scan;
-    scan.totalBytes = bytes.size();
+    JournalRecovery recovery;
+    std::vector<std::uint8_t> file;
+    if (!base::io::readFileBytes(path, file).ok()) {
+        // Older builds could rotate a journal into <path>.000,
+        // <path>.001, ... with no file at <path> itself. Name such a
+        // chain instead of calling the journal missing, and read none
+        // of it.
+        recovery.error = base::io::fileExists(path + ".000")
+            ? "found a segment chain (" + path +
+                ".000, ...) written by an older build; this build "
+                "resumes single-file journals only"
+            : "journal does not exist or is unreadable";
+        return recovery;
+    }
+    recovery.fileExists = true;
+    const std::span<const std::uint8_t> bytes(file);
 
     // Header: fixed size, trailing CRC over everything before it. A
     // bad header means the file is not ours (or the very first write
     // was torn) — unusable either way. No read below can run out of
     // bytes once the size check has passed.
     if (bytes.size() < kHeaderSize) {
-        scan.error = "journal shorter than its header";
-        return scan;
+        recovery.error = "journal shorter than its header";
+        return recovery;
     }
     if (!std::equal(kMagic.begin(), kMagic.end(), bytes.begin())) {
-        scan.error = "journal magic mismatch";
-        return scan;
+        recovery.error = "journal magic mismatch";
+        return recovery;
     }
     RecordReader r(bytes.first(kHeaderSize).subspan(kMagic.size()));
     std::uint32_t version = 0;
     r.u32(version);
     if (version != kJournalVersion) {
-        scan.error = "unsupported journal version " +
+        recovery.error = "unsupported journal version " +
             std::to_string(version);
-        return scan;
+        return recovery;
     }
-    JournalHeader &h = scan.header;
+    JournalHeader &h = recovery.header;
     std::uint32_t storedCrc = 0;
     r.u64(h.seed);
     r.u32(h.cores);
@@ -115,11 +133,11 @@ scanSegment(std::span<const std::uint8_t> bytes)
     r.u64(h.configHash);
     r.u32(storedCrc);
     if (storedCrc != crc32(bytes.data(), kHeaderSize - 4)) {
-        scan.error = "journal header checksum mismatch";
-        return scan;
+        recovery.error = "journal header checksum mismatch";
+        return recovery;
     }
-    scan.headerValid = true;
-    scan.validBytes = kHeaderSize;
+    recovery.headerValid = true;
+    recovery.validBytes = kHeaderSize;
 
     // Records. The commit unit is the complete batch group: a
     // BatchBegin plus exactly `count` Measurement records. validBytes
@@ -164,7 +182,7 @@ scanSegment(std::span<const std::uint8_t> bytes)
                 !in.exhausted())
                 return false;
             cp.kind = static_cast<CheckpointKind>(kind);
-            scan.checkpoints.push_back(cp);
+            recovery.checkpoints.push_back(cp);
             return true;
           }
         }
@@ -180,191 +198,54 @@ scanSegment(std::span<const std::uint8_t> bytes)
            apply(record)) {
         offset += record.size();
         if (groupOpen && openRemaining == 0) {
-            scan.batches.push_back(std::move(openGroup));
+            recovery.batches.push_back(std::move(openGroup));
             groupOpen = false;
-            scan.validBytes = offset;
+            recovery.validBytes = offset;
         } else if (!groupOpen) {
-            scan.validBytes = offset; // checkpoint committed
+            recovery.validBytes = offset; // checkpoint committed
         }
     }
-
-    return scan;
-}
-
-} // anonymous namespace
-
-std::uint64_t
-journalKeyHash(const Assignment &assignment)
-{
-    // Over the canonical key, so symmetric assignments hash equal —
-    // the same equivalence notion the memoization cache uses.
-    return fnv1a64(assignment.canonicalKey());
-}
-
-const char *
-journalErrorPolicyName(JournalErrorPolicy policy)
-{
-    switch (policy) {
-      case JournalErrorPolicy::Abort:
-        return "abort";
-      case JournalErrorPolicy::Degrade:
-        return "degrade";
-    }
-    return "?";
-}
-
-std::string
-journalSegmentPath(const std::string &base, std::uint32_t index)
-{
-    std::string suffix = std::to_string(index);
-    while (suffix.size() < 3)
-        suffix.insert(suffix.begin(), '0');
-    return base + "." + suffix;
-}
-
-JournalRecovery
-recoverJournal(const std::string &path)
-{
-    JournalRecovery recovery;
-
-    // The journal's files in chain order. A plain file at the exact
-    // path is a single-file journal, even when a stale segment chain
-    // also exists — the plain file is what the last writer committed
-    // to. Otherwise they are the segments <path>.000, <path>.001, ...
-    // up to the first missing index.
-    std::vector<std::string> files;
-    recovery.segmented = !base::io::fileExists(path);
-    if (!recovery.segmented) {
-        files.push_back(path);
-    } else {
-        for (std::uint32_t i = 0;
-             base::io::fileExists(journalSegmentPath(path, i)); ++i)
-            files.push_back(journalSegmentPath(path, i));
-    }
-
-    // Every file carries the full identity header; trust stops at the
-    // first unreadable, foreign or torn file — anything after the
-    // trust horizon was written by a writer whose predecessor state we
-    // cannot vouch for.
-    std::vector<std::uint8_t> bytes;
-    std::size_t trusted = 0;
-    while (trusted < files.size() &&
-           base::io::readFileBytes(files[trusted], bytes).ok()) {
-        recovery.fileExists = true;
-        SegmentScan scan = scanSegment(bytes);
-        if (trusted == 0) {
-            if (!scan.headerValid) {
-                recovery.error = scan.error;
-                return recovery;
-            }
-            recovery.headerValid = true;
-            recovery.header = scan.header;
-        } else if (!scan.headerValid ||
-                   !(scan.header == recovery.header)) {
-            break;
-        }
-        for (JournalBatch &b : scan.batches)
-            recovery.batches.push_back(std::move(b));
-        for (const JournalCheckpoint &cp : scan.checkpoints)
-            recovery.checkpoints.push_back(cp);
-        recovery.activeSegment = files[trusted];
-        recovery.activeSegmentIndex = static_cast<std::uint32_t>(trusted);
-        recovery.validBytes = scan.validBytes;
-        recovery.truncatedBytes += scan.totalBytes - scan.validBytes;
-        ++trusted;
-        // A torn tail: any successor was appended after bytes we just
-        // distrusted, so it is stale, not valid.
-        if (!scan.clean())
-            break;
-    }
-    if (trusted == 0) {
-        recovery.error = "journal does not exist or is unreadable";
-        return recovery;
-    }
-    recovery.segmentFiles.assign(files.begin(), files.begin() + trusted);
-    recovery.staleSegments.assign(files.begin() + trusted, files.end());
+    recovery.truncatedBytes = bytes.size() - recovery.validBytes;
     return recovery;
 }
 
 MeasurementJournal::MeasurementJournal(const std::string &path,
                                        const JournalHeader &header,
                                        JournalConfig config)
-    : config_(std::move(config)), basePath_(path)
+    : config_(std::move(config)), path_(path)
 {
     if (!config_.sinkFactory)
         config_.sinkFactory = base::io::fileSinkFactory();
-    headerBytes_ = serializeHeader(header);
-    segmented_ = config_.segmentBytes > 0;
-    activePath_ = segmented_ ? journalSegmentPath(path, 0) : path;
-    if (segmented_) {
-        // A fresh segmented journal must not leave segments from a
-        // previous campaign behind the new chain head — recovery
-        // would splice their records onto ours.
-        for (std::uint32_t i = 1;
-             base::io::fileExists(journalSegmentPath(path, i)); ++i)
-            base::io::removeFile(journalSegmentPath(path, i));
-    }
-    openActive(/*truncate=*/true);
+    openSink(/*truncate=*/true);
+    const std::vector<std::uint8_t> headerBytes = serializeHeader(header);
     if (recording() &&
-        writeChecked(headerBytes_.data(), headerBytes_.size()))
+        writeChecked(headerBytes.data(), headerBytes.size()))
         sync();
 }
 
 MeasurementJournal::MeasurementJournal(const std::string &path,
                                        const JournalRecovery &recovery,
                                        JournalConfig config)
-    : config_(std::move(config)), basePath_(path)
+    : config_(std::move(config)), path_(path)
 {
     if (!config_.sinkFactory)
         config_.sinkFactory = base::io::fileSinkFactory();
-    headerBytes_ = serializeHeader(recovery.header);
-    // Continue in the mode found on disk: a single-file journal stays
-    // single-file even when the resumed run asks for segments (the
-    // two layouts must never coexist at one path).
-    segmented_ = recovery.segmented;
-    segmentIndex_ = recovery.activeSegmentIndex;
-    activePath_ = recovery.activeSegment.empty()
-        ? path
-        : recovery.activeSegment;
-    for (const std::string &stale : recovery.staleSegments)
-        base::io::removeFile(stale);
     // Physically drop the untrustworthy tail before appending: a
     // later recovery must never see the old bytes behind new records.
     const base::io::IoResult truncated =
-        base::io::truncateFile(activePath_, recovery.validBytes);
+        base::io::truncateFile(path_, recovery.validBytes);
     if (!truncated.ok()) {
         handleIoFailure(truncated);
         return;
     }
-    openActive(/*truncate=*/false);
-    segmentBytes_ = recovery.validBytes;
-}
-
-MeasurementJournal::MeasurementJournal(
-    MeasurementJournal &&other) noexcept
-    : config_(std::move(other.config_)),
-      sink_(std::move(other.sink_)),
-      basePath_(std::move(other.basePath_)),
-      activePath_(std::move(other.activePath_)),
-      segmented_(other.segmented_),
-      segmentIndex_(other.segmentIndex_),
-      segmentBytes_(other.segmentBytes_),
-      headerBytes_(std::move(other.headerBytes_)),
-      degraded_(other.degraded_),
-      failed_(other.failed_),
-      errorDetail_(std::move(other.errorDetail_)),
-      droppedRecords_(other.droppedRecords_),
-      rotations_(other.rotations_),
-      compactedBytes_(other.compactedBytes_),
-      bytesWritten_(other.bytesWritten_)
-{
+    openSink(/*truncate=*/false);
 }
 
 void
-MeasurementJournal::openActive(bool truncate)
+MeasurementJournal::openSink(bool truncate)
 {
     base::io::IoResult result;
-    sink_ = config_.sinkFactory(activePath_, truncate, result);
+    sink_ = config_.sinkFactory(path_, truncate, result);
     if (!sink_)
         handleIoFailure(result);
 }
@@ -374,7 +255,7 @@ MeasurementJournal::handleIoFailure(const base::io::IoResult &result)
 {
     if (degraded_ || failed_)
         return; // already latched
-    errorDetail_ = activePath_ + ": " + result.detail;
+    errorDetail_ = path_ + ": " + result.detail;
     sink_.reset();
     if (config_.onError == JournalErrorPolicy::Degrade) {
         degraded_ = true;
@@ -397,16 +278,12 @@ MeasurementJournal::writeChecked(const std::uint8_t *data,
     base::io::IoResult result;
     const std::uint8_t *p = data;
     std::size_t left = size;
-    // Bounded immediate retries of the unwritten remainder (the
-    // injected Clock has no sleep, and a full disk does not heal in
-    // microseconds — the policy, not a timer, decides what a
-    // persistent failure means). Retrying only the remainder keeps
-    // the byte stream consistent: no frame prefix is ever duplicated.
-    for (std::uint32_t attempt = 0; attempt <= config_.writeRetries;
+    // Retrying only the unwritten remainder keeps the byte stream
+    // consistent: no frame prefix is ever duplicated.
+    for (std::uint32_t attempt = 0; attempt <= kWriteRetries;
          ++attempt) {
         result = sink_->write(p, left);
         bytesWritten_ += result.bytesWritten;
-        segmentBytes_ += result.bytesWritten;
         if (result.ok())
             return true;
         p += result.bytesWritten;
@@ -431,97 +308,9 @@ MeasurementJournal::writeRecord(std::uint8_t type,
 }
 
 void
-MeasurementJournal::rotateSegment()
-{
-    // Seal the active segment: everything in it must be durable
-    // before a successor exists, or recovery could trust a successor
-    // whose predecessor still had bytes in flight.
-    const base::io::IoResult sealed = sink_->sync();
-    if (!sealed.ok()) {
-        handleIoFailure(sealed);
-        return;
-    }
-    sink_.reset();
-    compactSealedSegment(activePath_);
-    ++segmentIndex_;
-    ++rotations_;
-    activePath_ = journalSegmentPath(basePath_, segmentIndex_);
-    openActive(/*truncate=*/true);
-    if (!recording())
-        return;
-    segmentBytes_ = 0;
-    if (writeChecked(headerBytes_.data(), headerBytes_.size())) {
-        const base::io::IoResult synced = sink_->sync();
-        if (!synced.ok())
-            handleIoFailure(synced);
-    }
-}
-
-void
-MeasurementJournal::compactSealedSegment(const std::string &path)
-{
-    // Best-effort space reclaim on a segment that will never be
-    // appended again: interior Progress checkpoints are operator
-    // telemetry, not replay substance — drop them. Batch groups are
-    // always kept (replay needs every one). Any failure abandons the
-    // rewrite and keeps the original: compaction is an optimization,
-    // never a correctness step.
-    std::vector<std::uint8_t> bytes;
-    if (!base::io::readFileBytes(path, bytes).ok())
-        return;
-    SegmentScan scan = scanSegment(bytes);
-    if (!scan.clean())
-        return;
-
-    // The scan trusted every byte, so the records are whole frames
-    // up to the end of the file; a checkpoint's kind is its first
-    // payload byte.
-    std::vector<std::uint8_t> out(bytes.begin(),
-                                  bytes.begin() + kHeaderSize);
-    std::span<const std::uint8_t> rest =
-        std::span<const std::uint8_t>(bytes).subspan(kHeaderSize);
-    FrameView record;
-    while (readFrame(rest, record) == FrameStatus::Complete) {
-        const bool progress = record.type == kRecordCheckpoint &&
-            record.payload[0] ==
-                static_cast<std::uint8_t>(CheckpointKind::Progress);
-        if (!progress)
-            out.insert(out.end(), rest.begin(),
-                       rest.begin() + record.size());
-        rest = rest.subspan(record.size());
-    }
-    if (out.size() == bytes.size())
-        return; // nothing to reclaim
-
-    const std::string tmp = path + ".tmp";
-    {
-        base::io::IoResult result;
-        std::unique_ptr<base::io::Sink> sink =
-            config_.sinkFactory(tmp, /*truncate=*/true, result);
-        if (!sink)
-            return;
-        if (!sink->write(out.data(), out.size()).ok() ||
-            !sink->sync().ok()) {
-            sink.reset();
-            base::io::removeFile(tmp);
-            return;
-        }
-    }
-    if (!base::io::renameFile(tmp, path).ok()) {
-        base::io::removeFile(tmp);
-        return;
-    }
-    compactedBytes_ += bytes.size() - out.size();
-}
-
-void
 MeasurementJournal::beginBatch(std::uint32_t round,
                                std::uint32_t count)
 {
-    // Rotation only between groups, so no group ever spans segments.
-    if (recording() && segmented_ &&
-        segmentBytes_ >= config_.segmentBytes)
-        rotateSegment();
     std::vector<std::uint8_t> payload;
     RecordWriter w(payload);
     w.u32(round);
@@ -544,9 +333,6 @@ void
 MeasurementJournal::appendCheckpoint(
     const JournalCheckpoint &checkpoint)
 {
-    if (recording() && segmented_ &&
-        segmentBytes_ >= config_.segmentBytes)
-        rotateSegment();
     std::vector<std::uint8_t> payload;
     RecordWriter w(payload);
     w.u8(static_cast<std::uint8_t>(checkpoint.kind));

@@ -60,15 +60,10 @@
  *    the failure point on — recovery still trusts the longest durable
  *    prefix.
  *
- * Segment rotation. With JournalConfig::segmentBytes > 0 the journal
- * is a chain journal.000, journal.001, ... instead of one file. Each
- * segment opens with the full identity header; rotation happens at
- * batch-group boundaries once the active segment exceeds the
- * threshold, and the sealed segment is compacted (interior Progress
- * checkpoints are dropped; batch groups — the replay substance — are
- * always kept). recoverJournal() walks the chain, validates every
- * header against segment 0, and stops trusting at the first torn or
- * foreign segment.
+ * One file. A journal is the single file at its path. Older builds
+ * could rotate it into a segment chain (<path>.000, <path>.001, ...);
+ * recoverJournal() refuses such a chain by name instead of reading
+ * part of it.
  *
  * File format. Records are the frames of core/record_codec.hh, the
  * one definition of the frame, field and outcome layouts (all
@@ -213,21 +208,9 @@ struct JournalConfig
 {
     JournalErrorPolicy onError = JournalErrorPolicy::Abort;
 
-    /** Rotate to a new segment once the active one exceeds this many
-     *  bytes (0 = single-file journal, no rotation). Checked at
-     *  batch-group boundaries, so groups never span segments. */
-    std::uint64_t segmentBytes = 0;
-
-    /** Extra immediate attempts to push the unwritten remainder of a
-     *  record before declaring the sink broken. The injected Clock
-     *  has no sleep — and a full disk does not heal in microseconds —
-     *  so the backoff is bounded retries, not timed waits; the error
-     *  policy decides what happens when they run out. */
-    std::uint32_t writeRetries = 2;
-
-    /** Sink source for the journal file and every rotated segment;
-     *  empty means real files (base::io::fileSinkFactory()). Tests
-     *  and the chaos harness inject fault-injecting factories here. */
+    /** Sink source for the journal file; empty means a real file
+     *  (base::io::fileSinkFactory()). Tests and the chaos harness
+     *  inject fault-injecting factories here. */
     base::io::SinkFactory sinkFactory;
 
     /** Invoked once, with a failure description, when the policy is
@@ -236,16 +219,12 @@ struct JournalConfig
     std::function<void(const std::string &)> onDegrade;
 };
 
-/** @return the on-disk path of segment `index` ("<base>.007"). */
-std::string journalSegmentPath(const std::string &base,
-                               std::uint32_t index);
-
 /**
  * Result of reading a journal back from disk. Only the longest prefix
  * of intact, complete batch groups is reported; everything after it
  * (torn record, CRC mismatch, incomplete group) is counted in
- * `truncatedBytes` and must be discarded by rewriting the active file
- * down to `validBytes` before appending.
+ * `truncatedBytes` and must be discarded by rewriting the file down
+ * to `validBytes` before appending.
  */
 struct JournalRecovery
 {
@@ -254,30 +233,14 @@ struct JournalRecovery
     JournalHeader header;
     std::vector<JournalBatch> batches;
     std::vector<JournalCheckpoint> checkpoints;
-    /** Byte length of the trustworthy prefix of the ACTIVE file
-     *  (header included). For single-file journals the active file is
-     *  the journal itself; for segmented ones it is the last trusted
-     *  segment. */
+    /** Byte length of the trustworthy prefix (header included). */
     std::uint64_t validBytes = 0;
-    /** Bytes beyond trustworthy prefixes that recovery dropped (not
-     *  counting whole stale segments, which are listed below). */
+    /** Bytes beyond the trustworthy prefix that recovery dropped. */
     std::uint64_t truncatedBytes = 0;
-    /** Non-empty when the journal is unusable (missing, bad magic,
-     *  corrupt header); tail truncation is NOT an error. */
+    /** Non-empty when the journal is unusable (missing, a segment
+     *  chain of an older build, bad magic, corrupt header); tail
+     *  truncation is NOT an error. */
     std::string error;
-
-    /** True when the journal is a segment chain (<path>.000, ...). */
-    bool segmented = false;
-    /** Trusted files, in chain order (single-file: just the path). */
-    std::vector<std::string> segmentFiles;
-    /** The file appends continue into. */
-    std::string activeSegment;
-    /** Chain index of activeSegment (0 for single-file journals). */
-    std::uint32_t activeSegmentIndex = 0;
-    /** Segment files AFTER the trust horizon (torn predecessor,
-     *  foreign header, ...); resume must delete them before
-     *  appending, or a later recovery would read stale records. */
-    std::vector<std::string> staleSegments;
 
     /** @return journaled measurements across all complete groups. */
     std::uint64_t
@@ -291,12 +254,12 @@ struct JournalRecovery
 };
 
 /**
- * Reads a journal (single file or segment chain) and validates it
- * record by record.
+ * Reads the journal file at `path` and validates it record by record.
  *
  * Never throws on corrupt input: torn and corrupt tails are truncated
- * into `truncatedBytes`, untrusted segments are listed as stale, and
- * unusable files are reported through `error`.
+ * into `truncatedBytes`, and unusable files are reported through
+ * `error`. When `path` is missing but `<path>.000` exists, the error
+ * names the segment chain an older build left there.
  */
 JournalRecovery recoverJournal(const std::string &path);
 
@@ -313,31 +276,24 @@ class MeasurementJournal
 {
   public:
     /** Creates (or overwrites) the journal at `path` with a fresh
-     *  header — a single file, or a segment chain when
-     *  config.segmentBytes > 0. Open failures latch the policy
-     *  outcome instead of throwing. */
+     *  header. Open failures latch the policy outcome instead of
+     *  throwing. */
     MeasurementJournal(const std::string &path,
                        const JournalHeader &header,
                        JournalConfig config = {});
 
-    /**
-     * Reopens a recovered journal (single-file or segmented) for
-     * appending: deletes stale segments, truncates the active file to
-     * the trusted prefix, and continues the chain in the mode
-     * recovery found on disk (a single-file journal stays
-     * single-file even if config asks for segments).
-     */
+    /** Reopens a recovered journal for appending: truncates the file
+     *  to the trusted prefix, then appends after it. */
     MeasurementJournal(const std::string &path,
                        const JournalRecovery &recovery,
                        JournalConfig config);
 
     MeasurementJournal(const MeasurementJournal &) = delete;
     MeasurementJournal &operator=(const MeasurementJournal &) = delete;
-    MeasurementJournal(MeasurementJournal &&other) noexcept;
+    MeasurementJournal(MeasurementJournal &&) = default;
     ~MeasurementJournal() = default;
 
-    /** Opens a batch group of `count` upcoming measurements. May
-     *  rotate segments first (group boundaries only). */
+    /** Opens a batch group of `count` upcoming measurements. */
     void beginBatch(std::uint32_t round, std::uint32_t count);
 
     /** Appends one measurement of the open batch group. */
@@ -372,42 +328,24 @@ class MeasurementJournal
     /** @return records dropped after degradation/failure. */
     std::uint64_t droppedRecords() const { return droppedRecords_; }
 
-    /** @return segment rotations performed so far. */
-    std::uint64_t segmentsRotated() const { return rotations_; }
-
-    /** @return bytes reclaimed by compacting sealed segments. */
-    std::uint64_t compactedBytes() const { return compactedBytes_; }
-
     /** @return bytes written to the journal so far (header included
      *  for fresh journals; relative to reopen for resumed ones). */
     std::uint64_t bytesWritten() const { return bytesWritten_; }
 
   private:
-    void openActive(bool truncate);
+    void openSink(bool truncate);
     void writeRecord(std::uint8_t type,
                      std::span<const std::uint8_t> payload);
     bool writeChecked(const std::uint8_t *data, std::size_t size);
     void handleIoFailure(const base::io::IoResult &result);
-    void rotateSegment();
-    void compactSealedSegment(const std::string &path);
 
     JournalConfig config_;
     std::unique_ptr<base::io::Sink> sink_;
-    std::string basePath_;   //!< journal path as configured
-    std::string activePath_; //!< file currently appended to
-    bool segmented_ = false;
-    std::uint32_t segmentIndex_ = 0;
-    /** Bytes in the active segment (header included); drives
-     *  rotation. */
-    std::uint64_t segmentBytes_ = 0;
-    /** Serialized identity header, re-written into every segment. */
-    std::vector<std::uint8_t> headerBytes_;
+    std::string path_;
     bool degraded_ = false;
     bool failed_ = false;
     std::string errorDetail_;
     std::uint64_t droppedRecords_ = 0;
-    std::uint64_t rotations_ = 0;
-    std::uint64_t compactedBytes_ = 0;
     std::uint64_t bytesWritten_ = 0;
 };
 

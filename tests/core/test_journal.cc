@@ -179,6 +179,9 @@ TEST(Journal, FileBytesArePinned)
 TEST(Journal, HeaderRoundtrip)
 {
     TempPath path("journal_test_header");
+    // A fresh journal replaces whatever the path held, here a longer
+    // journal of another campaign.
+    writeTwoGroups(path.str());
     { MeasurementJournal journal(path.str(), testHeader(9, 0xfeed)); }
 
     const JournalRecovery recovery = core::recoverJournal(path.str());
@@ -324,6 +327,18 @@ TEST(Journal, UnusableFilesReportErrors)
     const JournalRecovery bad = core::recoverJournal(magic.str());
     EXPECT_FALSE(bad.headerValid);
     EXPECT_FALSE(bad.error.empty());
+
+    // Older builds could rotate a journal into <path>.000, <path>.001,
+    // ...; such a chain is refused by name and none of it is read.
+    TempPath chain("journal_test_chain");
+    const std::string head = chain.str() + ".000";
+    writeTwoGroups(head);
+    const JournalRecovery old = core::recoverJournal(chain.str());
+    std::filesystem::remove(head);
+    EXPECT_FALSE(old.headerValid);
+    EXPECT_TRUE(old.batches.empty());
+    EXPECT_NE(old.error.find("segment chain"), std::string::npos)
+        << old.error;
 }
 
 TEST(Journal, AppendAfterRecoveryTruncatesTheTornTail)

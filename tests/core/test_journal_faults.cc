@@ -5,19 +5,14 @@
  * the invariant is always the same — the process never crashes, the
  * policy latches (Abort fails the journal, Degrade drops to
  * memory-only recording), and recovery afterwards trusts exactly a
- * batch-group prefix of what a clean run would have written. Segment
- * rotation, compaction, stale-segment deletion and torn-chain
- * recovery ride the same harness.
+ * batch-group prefix of what a clean run would have written.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "base/io.hh"
 #include "core/journal.hh"
@@ -37,52 +32,18 @@ using core::JournalConfig;
 using core::JournalErrorPolicy;
 using core::JournalHeader;
 using core::JournalRecovery;
-using core::journalSegmentPath;
 using core::MeasurementJournal;
 using core::MeasurementOutcome;
 using core::MeasureStatus;
 using core::Topology;
+using statsched::test::TempPath;
 
 const Topology t2 = Topology::ultraSparcT2();
 
-/** RAII temp journal path; removes the file, its segment chain and
- *  any compaction temp on scope exit. */
-class TempChain
-{
-  public:
-    explicit TempChain(const char *stem)
-        : path_(statsched::test::tempPath(std::string("jfault_test_") +
-                                          stem))
-    {
-        cleanup();
-    }
-
-    ~TempChain() { cleanup(); }
-
-    const std::string &str() const { return path_; }
-
-  private:
-    void
-    cleanup()
-    {
-        std::filesystem::remove(path_);
-        for (std::uint32_t i = 0;; ++i) {
-            const std::string seg = journalSegmentPath(path_, i);
-            const bool any =
-                std::filesystem::remove(seg) |
-                std::filesystem::remove(seg + ".tmp");
-            if (!any)
-                break;
-        }
-    }
-
-    std::string path_;
-};
-
 JournalHeader
-testHeader(std::uint64_t seed = 7)
+testHeader()
 {
-    return JournalHeader::forCampaign(t2, 24, seed, 0xabc);
+    return JournalHeader::forCampaign(t2, 24, 7, 0xabc);
 }
 
 MeasurementOutcome
@@ -165,15 +126,12 @@ expectBatchPrefix(const JournalRecovery &got,
 }
 
 /** Clean-run recovery for the canonical sequence (and its byte count
- *  via `totalBytes`), in single-file or segmented layout. */
+ *  via `totalBytes`). */
 JournalRecovery
-cleanReference(const char *stem, std::uint64_t segmentBytes,
-               std::uint64_t &totalBytes)
+cleanReference(const char *stem, std::uint64_t &totalBytes)
 {
-    TempChain path(stem);
-    JournalConfig config;
-    config.segmentBytes = segmentBytes;
-    MeasurementJournal journal(path.str(), testHeader(), config);
+    TempPath path(std::string("jfault_test_") + stem);
+    MeasurementJournal journal(path.str(), testHeader());
     writeSequence(journal);
     totalBytes = journal.bytesWritten();
     return core::recoverJournal(path.str());
@@ -184,20 +142,17 @@ cleanReference(const char *stem, std::uint64_t segmentBytes,
  *  a temp path. */
 void
 sweepOnce(const char *stem, JournalErrorPolicy policy,
-          std::uint64_t segmentBytes, std::uint64_t failAt,
-          const JournalRecovery &reference)
+          std::uint64_t failAt, const JournalRecovery &reference)
 {
     const std::string context = std::string("policy=") +
         core::journalErrorPolicyName(policy) +
-        " segmentBytes=" + std::to_string(segmentBytes) +
         " failAt=" + std::to_string(failAt);
-    TempChain path(stem);
+    TempPath path(std::string("jfault_test_") + stem);
 
     auto plan = std::make_shared<FaultPlan>();
     plan->failAfterBytes = failAt;
     JournalConfig config;
     config.onError = policy;
-    config.segmentBytes = segmentBytes;
     config.sinkFactory = faultInjectingFileSinkFactory(plan);
     int degradeCalls = 0;
     config.onDegrade = [&degradeCalls](const std::string &detail) {
@@ -244,12 +199,13 @@ TEST(JournalFaults, CleanReferenceSequenceRecoversWhole)
 {
     std::uint64_t total = 0;
     const JournalRecovery reference =
-        cleanReference("ref_single", 0, total);
+        cleanReference("ref_single", total);
     ASSERT_TRUE(reference.headerValid) << reference.error;
     ASSERT_EQ(reference.batches.size(), 2u);
     EXPECT_EQ(reference.measurementCount(), 3u);
     EXPECT_EQ(reference.checkpoints.size(), 2u);
-    EXPECT_FALSE(reference.segmented);
+    // Every byte written sits in the one file and is trusted.
+    EXPECT_EQ(reference.validBytes, total);
     EXPECT_GT(total, 0u);
 }
 
@@ -257,197 +213,22 @@ TEST(JournalFaults, EveryWriteOffsetAbortsCleanly)
 {
     std::uint64_t total = 0;
     const JournalRecovery reference =
-        cleanReference("ref_abort", 0, total);
+        cleanReference("ref_abort", total);
     ASSERT_TRUE(reference.headerValid) << reference.error;
     for (std::uint64_t failAt = 0; failAt < total; ++failAt)
-        sweepOnce("sweep_abort", JournalErrorPolicy::Abort, 0,
-                  failAt, reference);
+        sweepOnce("sweep_abort", JournalErrorPolicy::Abort, failAt,
+                  reference);
 }
 
 TEST(JournalFaults, EveryWriteOffsetDegradesWithDurablePrefix)
 {
     std::uint64_t total = 0;
     const JournalRecovery reference =
-        cleanReference("ref_degrade", 0, total);
+        cleanReference("ref_degrade", total);
     ASSERT_TRUE(reference.headerValid) << reference.error;
     for (std::uint64_t failAt = 0; failAt < total; ++failAt)
-        sweepOnce("sweep_degrade", JournalErrorPolicy::Degrade, 0,
-                  failAt, reference);
-}
-
-TEST(JournalFaults, EveryWriteOffsetSurvivesWithSegmentRotation)
-{
-    // The segmented journal writes MORE bytes (per-segment headers,
-    // compaction rewrites), and the budget is cumulative across
-    // sinks, so sweeping the single-file total still reaches every
-    // interesting boundary: header writes, rotation seals, compaction
-    // temp files. Both policies, one pass each.
-    std::uint64_t total = 0;
-    const JournalRecovery reference =
-        cleanReference("ref_seg", 64, total);
-    ASSERT_TRUE(reference.headerValid) << reference.error;
-    EXPECT_TRUE(reference.segmented);
-    for (std::uint64_t failAt = 0; failAt < total; ++failAt) {
-        sweepOnce("sweep_seg", JournalErrorPolicy::Abort, 64, failAt,
+        sweepOnce("sweep_degrade", JournalErrorPolicy::Degrade, failAt,
                   reference);
-        sweepOnce("sweep_seg", JournalErrorPolicy::Degrade, 64,
-                  failAt, reference);
-    }
-}
-
-TEST(JournalFaults, SegmentedRecoveryMatchesSingleFileBatches)
-{
-    std::uint64_t singleTotal = 0, segTotal = 0;
-    const JournalRecovery single =
-        cleanReference("layout_single", 0, singleTotal);
-    const JournalRecovery segmented =
-        cleanReference("layout_seg", 64, segTotal);
-    ASSERT_TRUE(single.headerValid) << single.error;
-    ASSERT_TRUE(segmented.headerValid) << segmented.error;
-
-    // Same replay substance regardless of on-disk layout.
-    ASSERT_EQ(segmented.batches.size(), single.batches.size());
-    expectBatchPrefix(segmented, single, "segmented layout");
-    EXPECT_TRUE(segmented.segmented);
-    EXPECT_GT(segmented.segmentFiles.size(), 1u);
-    EXPECT_TRUE(segmented.staleSegments.empty());
-    EXPECT_EQ(segmented.truncatedBytes, 0u);
-}
-
-TEST(JournalFaults, CompactionDropsInteriorProgressCheckpoints)
-{
-    TempChain path("compact");
-    JournalConfig config;
-    config.segmentBytes = 64; // rotate after every group
-    MeasurementJournal journal(path.str(), testHeader(), config);
-    writeSequence(journal);
-    EXPECT_GT(journal.segmentsRotated(), 0u);
-    // A sealed segment held the interior Progress checkpoint; its
-    // frame was reclaimed. The Complete checkpoint is kept.
-    EXPECT_GT(journal.compactedBytes(), 0u);
-
-    const JournalRecovery r = core::recoverJournal(path.str());
-    ASSERT_TRUE(r.headerValid) << r.error;
-    EXPECT_EQ(r.batches.size(), 2u);
-    ASSERT_EQ(r.checkpoints.size(), 1u);
-    EXPECT_EQ(r.checkpoints[0].kind, CheckpointKind::Complete);
-}
-
-TEST(JournalFaults, TornMidChainSegmentDropsSuccessorsAsStale)
-{
-    TempChain path("torn_chain");
-    {
-        JournalConfig config;
-        config.segmentBytes = 64;
-        MeasurementJournal journal(path.str(), testHeader(), config);
-        writeSequence(journal);
-    }
-    const JournalRecovery clean = core::recoverJournal(path.str());
-    ASSERT_TRUE(clean.headerValid) << clean.error;
-    ASSERT_GE(clean.segmentFiles.size(), 3u);
-
-    // Tear the segment holding the second batch group: everything it
-    // committed is dropped, and every LATER segment — written by a
-    // writer whose predecessor we now distrust — becomes stale.
-    const std::string victim = clean.segmentFiles[2];
-    std::filesystem::resize_file(
-        victim, std::filesystem::file_size(victim) - 2);
-
-    const JournalRecovery torn = core::recoverJournal(path.str());
-    ASSERT_TRUE(torn.headerValid) << torn.error;
-    EXPECT_LT(torn.batches.size(), clean.batches.size());
-    expectBatchPrefix(torn, clean, "torn chain");
-    EXPECT_GT(torn.truncatedBytes, 0u);
-    EXPECT_EQ(torn.activeSegment, victim);
-    ASSERT_EQ(torn.staleSegments.size(),
-              clean.segmentFiles.size() - 3);
-
-    // Resuming deletes the stale tail, truncates the torn segment and
-    // appends fresh groups; a second recovery sees a clean chain.
-    {
-        JournalConfig config;
-        config.segmentBytes = 64;
-        MeasurementJournal journal(path.str(), torn, config);
-        ASSERT_TRUE(journal.recording());
-        journal.beginBatch(7, 1);
-        journal.appendMeasurement(99, okOutcome(9.0));
-        journal.sync();
-    }
-    for (const std::string &stale : torn.staleSegments)
-        EXPECT_FALSE(base::io::fileExists(stale)) << stale;
-    const JournalRecovery resumed = core::recoverJournal(path.str());
-    ASSERT_TRUE(resumed.headerValid) << resumed.error;
-    ASSERT_EQ(resumed.batches.size(), torn.batches.size() + 1);
-    EXPECT_EQ(resumed.batches.back().round, 7u);
-    EXPECT_EQ(resumed.batches.back().measurements[0].keyHash, 99u);
-    EXPECT_EQ(resumed.truncatedBytes, 0u);
-    EXPECT_TRUE(resumed.staleSegments.empty());
-}
-
-TEST(JournalFaults, ForeignSegmentStopsTheTrustHorizon)
-{
-    TempChain path("foreign");
-    {
-        JournalConfig config;
-        config.segmentBytes = 64;
-        MeasurementJournal journal(path.str(), testHeader(), config);
-        writeSequence(journal);
-    }
-    const JournalRecovery clean = core::recoverJournal(path.str());
-    ASSERT_TRUE(clean.headerValid) << clean.error;
-    ASSERT_GE(clean.segmentFiles.size(), 3u);
-
-    // Replace a mid-chain segment with one from a DIFFERENT campaign
-    // (different seed): its header is valid but foreign, so it and
-    // everything after it must not be trusted.
-    const std::string victim = clean.segmentFiles[1];
-    {
-        MeasurementJournal foreign(victim, testHeader(1234));
-        foreign.beginBatch(0, 1);
-        foreign.appendMeasurement(1, okOutcome(1.0));
-        foreign.sync();
-    }
-
-    const JournalRecovery r = core::recoverJournal(path.str());
-    ASSERT_TRUE(r.headerValid) << r.error;
-    expectBatchPrefix(r, clean, "foreign segment");
-    EXPECT_EQ(r.activeSegment, clean.segmentFiles[0]);
-    EXPECT_EQ(r.staleSegments.size(), clean.segmentFiles.size() - 1);
-}
-
-TEST(JournalFaults, FreshSegmentedJournalRemovesAPriorChain)
-{
-    TempChain path("stale_chain");
-    {
-        JournalConfig config;
-        config.segmentBytes = 64;
-        MeasurementJournal journal(path.str(), testHeader(), config);
-        writeSequence(journal);
-    }
-    const JournalRecovery old = core::recoverJournal(path.str());
-    ASSERT_GT(old.segmentFiles.size(), 1u);
-
-    // A new campaign at the same path starts a new chain head; stale
-    // successors from the previous chain must not survive to be
-    // spliced onto the new journal by a later recovery.
-    {
-        JournalConfig config;
-        config.segmentBytes = 1 << 20; // no rotation this time
-        MeasurementJournal journal(path.str(), testHeader(99),
-                                   config);
-        journal.beginBatch(0, 1);
-        journal.appendMeasurement(5, okOutcome(5.0));
-        journal.sync();
-    }
-    for (std::size_t i = 1; i < old.segmentFiles.size(); ++i)
-        EXPECT_FALSE(base::io::fileExists(old.segmentFiles[i]))
-            << old.segmentFiles[i];
-
-    const JournalRecovery fresh = core::recoverJournal(path.str());
-    ASSERT_TRUE(fresh.headerValid) << fresh.error;
-    EXPECT_TRUE(fresh.header == testHeader(99));
-    ASSERT_EQ(fresh.batches.size(), 1u);
-    EXPECT_EQ(fresh.batches[0].measurements[0].keyHash, 5u);
 }
 
 } // namespace

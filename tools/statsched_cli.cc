@@ -568,9 +568,6 @@ cmdIterate(int argc, char **argv)
     args.addOption("journal-on-error", "abort",
                    "journal media failure policy: abort | degrade "
                    "(drop to memory-only recording)");
-    args.addOption("journal-segment-bytes", "0",
-                   "rotate journal segments at this size "
-                   "(0 = single file)");
     args.addOption("journal-fault-at", "0",
                    "chaos: fail journal writes after N bytes "
                    "(0 = off)");
@@ -628,10 +625,10 @@ cmdIterate(int argc, char **argv)
                      onErrorName.c_str());
         return 2;
     }
-    const long segmentBytes = args.getInt("journal-segment-bytes");
     const long journalFaultAt = args.getInt("journal-fault-at");
-    if (segmentBytes < 0 || journalFaultAt < 0) {
-        std::fprintf(stderr, "iterate: journal sizes must be >= 0\n");
+    if (journalFaultAt < 0) {
+        std::fprintf(stderr,
+                     "iterate: '--journal-fault-at' must be >= 0\n");
         return 2;
     }
     const double auditFraction = args.getDouble("audit-fraction");
@@ -672,10 +669,8 @@ cmdIterate(int argc, char **argv)
     campaign.resume = args.flag("resume");
     // Failure-domain knobs: operational only, deliberately OUT of the
     // campaign identity hash — a resumed run may change its error
-    // policy, segmentation or auditing without losing its journal.
+    // policy or auditing without losing its journal.
     campaign.journalOnError = onError;
-    campaign.journalSegmentBytes =
-        static_cast<std::uint64_t>(segmentBytes);
     if (journalFaultAt > 0) {
         auto plan = std::make_shared<base::io::FaultPlan>();
         plan->failAfterBytes =
@@ -852,13 +847,6 @@ cmdIterate(int argc, char **argv)
             std::fprintf(stderr, " (%llu bytes of torn tail dropped)",
                          static_cast<unsigned long long>(
                              result.journalTruncatedBytes));
-        if (result.journalSegmentsRotated != 0)
-            std::fprintf(stderr, " (%llu segment rotations, "
-                         "%llu bytes compacted)",
-                         static_cast<unsigned long long>(
-                             result.journalSegmentsRotated),
-                         static_cast<unsigned long long>(
-                             result.journalCompactedBytes));
         if (result.journalDegraded)
             std::fprintf(stderr, "; DEGRADED to memory-only "
                          "(%llu measurements unjournaled)",
@@ -929,8 +917,7 @@ cmdHelp()
         "--deadline-s / --max-measurements / --max-rounds stop\nthe "
         "campaign gracefully at a round boundary with a final "
         "checkpoint;\nso do SIGINT and SIGTERM. "
-        "--journal-segment-bytes N rotates segments\nand compacts "
-        "sealed ones; --journal-on-error degrade completes the\nrun "
+        "--journal-on-error degrade completes the\nrun "
         "on memory-only recording after ENOSPC/EIO instead of "
         "aborting.\n\n"
         "sharding: --shards N fans measurement batches out to N "
