@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "core/estimator.hh"
 #include "core/iterative.hh"
@@ -208,6 +211,108 @@ TEST(Iterative, TighterTargetNeedsMoreSamples)
     const auto r_tight =
         iterativeAssignmentSearch(engine_b, t2, 12, 13, tight);
     EXPECT_LE(r_loose.totalSampled, r_tight.totalSampled);
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+        std::bit_cast<std::uint64_t>(b);
+}
+
+/**
+ * With cold fits the loop's estimates are the from-scratch pipeline's:
+ * the final estimate, interval included, equals
+ * estimateOptimalPerformance() on the sample the loop stopped at, and
+ * every step's stopping target equals the one that pipeline gives on
+ * the step's sample prefix. Checked for a loop that runs to its cap,
+ * one that meets its target, one that stops against the upper end of
+ * the interval, and one that stopCheck aborts.
+ */
+TEST(Iterative, ColdEstimatesMatchFromScratchPipeline)
+{
+    IterativeOptions base;
+    base.initialSample = 200;
+    base.incrementSample = 100;
+    base.warmStartFits = false;
+
+    IterativeOptions to_cap = base;
+    to_cap.acceptableLoss = 1e-9;
+    to_cap.maxSample = 700;
+
+    IterativeOptions met = base;
+    met.acceptableLoss = 0.02;
+    met.maxSample = 5000;
+
+    IterativeOptions confident = base;
+    confident.acceptableLoss = 0.10;
+    confident.maxSample = 1500;
+    confident.useUpperConfidenceBound = true;
+
+    IterativeOptions aborted = base;
+    aborted.acceptableLoss = 1e-9;
+    aborted.maxSample = 5000;
+    aborted.stopCheck = [](std::size_t round) {
+        IterativeStop stop;
+        if (round == 3)
+            stop.kind = AbortKind::RoundLimit;
+        return stop;
+    };
+
+    struct Mode
+    {
+        const char *name;
+        IterativeOptions options;
+        bool satisfied;
+        AbortKind abort;
+    };
+    const Mode modes[] = {
+        {"sample cap", to_cap, false, AbortKind::None},
+        {"met target", met, true, AbortKind::None},
+        {"upper confidence bound", confident, false, AbortKind::None},
+        {"stopCheck abort", aborted, false, AbortKind::RoundLimit},
+    };
+    for (const auto &[name, options, satisfied, abort] : modes) {
+        SCOPED_TRACE(name);
+        SyntheticEngine engine(1e6, 31);
+        const IterativeResult run =
+            iterativeAssignmentSearch(engine, t2, 12, 17, options);
+        EXPECT_EQ(run.satisfied, satisfied);
+        EXPECT_EQ(run.abortKind, abort);
+        ASSERT_GE(run.steps.size(), 3u);
+        const std::vector<double> &sample = run.final.sample;
+        auto prefix = [&sample](std::size_t n) {
+            return statsched::stats::estimateOptimalPerformance(
+                std::vector<double>(
+                    sample.begin(),
+                    sample.begin() + static_cast<std::ptrdiff_t>(n)));
+        };
+
+        const auto want = prefix(run.steps.back().sampleSize);
+        const auto &got = run.final.pot;
+        EXPECT_TRUE(sameBits(got.threshold, want.threshold));
+        EXPECT_EQ(got.fit.converged, want.fit.converged);
+        EXPECT_TRUE(sameBits(got.fit.xi, want.fit.xi));
+        EXPECT_TRUE(sameBits(got.fit.sigma, want.fit.sigma));
+        EXPECT_TRUE(sameBits(got.fit.logLikelihood,
+                             want.fit.logLikelihood));
+        EXPECT_TRUE(sameBits(got.upb, want.upb));
+        EXPECT_TRUE(sameBits(got.upbLower, want.upbLower));
+        EXPECT_TRUE(sameBits(got.upbUpper, want.upbUpper));
+        EXPECT_TRUE(sameBits(got.profileMaxLogLik,
+                             want.profileMaxLogLik));
+        EXPECT_EQ(got.status, want.status);
+
+        for (std::size_t i = 0; i < run.steps.size(); ++i) {
+            const auto scratch = prefix(run.steps[i].sampleSize);
+            double target = options.useUpperConfidenceBound
+                ? scratch.upbUpper : scratch.upb;
+            if (!scratch.valid || !std::isfinite(target))
+                target = std::numeric_limits<double>::infinity();
+            EXPECT_TRUE(sameBits(run.steps[i].lossTarget, target))
+                << "step " << i;
+        }
+    }
 }
 
 } // anonymous namespace
