@@ -13,9 +13,10 @@
  *               (full re-sort per round, cold two-log-per-observation
  *               MLE objective, unfused profile evaluations, tolerances
  *               1e-12/1e-10/1e-9);
- *  - fast-cold: PotAccumulator with warm starts disabled — verified
- *               here to be bit-identical to the from-scratch
- *               estimateOptimalPerformance() on every round;
+ *  - fast-cold: PotAccumulator (estimate() + addInterval()) with warm
+ *               starts disabled — verified here to be bit-identical to
+ *               the from-scratch estimateOptimalPerformance() on
+ *               every round;
  *  - fast-warm: PotAccumulator as shipped (warm-started fits).
  *
  * It also reports GPD fits/sec (cold vs warm) and ns per fused profile
@@ -395,7 +396,7 @@ runScenario(std::size_t initial, std::size_t extension,
             for (const auto &batch : batches) {
                 acc.extend(batch);
                 auto est = acc.estimate();
-                (void)est;
+                acc.addInterval(est);
             }
             out.fastColdSeconds = std::min(
                 out.fastColdSeconds, seconds(start, Clock::now()));
@@ -408,7 +409,7 @@ runScenario(std::size_t initial, std::size_t extension,
             for (const auto &batch : batches) {
                 acc.extend(batch);
                 auto est = acc.estimate();
-                (void)est;
+                acc.addInterval(est);
             }
             out.fastWarmSeconds = std::min(
                 out.fastWarmSeconds, seconds(start, Clock::now()));
@@ -427,12 +428,14 @@ runScenario(std::size_t initial, std::size_t extension,
                               batch.end());
             check.extend(batch);
             warm.extend(batch);
-            const auto inc = check.estimate();
+            auto inc = check.estimate();
+            check.addInterval(inc);
             const auto scratch =
                 stats::estimateOptimalPerformance(cumulative, options);
             if (!bitIdentical(inc, scratch))
                 out.coldBitIdentical = false;
-            const auto w = warm.estimate();
+            auto w = warm.estimate();
+            warm.addInterval(w);
             if (w.valid && inc.valid) {
                 out.maxWarmUpbDelta =
                     std::max(out.maxWarmUpbDelta,

@@ -23,8 +23,51 @@ OptimalPerformanceEstimator::OptimalPerformanceEstimator(
 {
 }
 
+namespace
+{
+
+/**
+ * A contract trip inside the tail machinery (degenerate exceedance
+ * set, pathological fit input) must not kill a campaign thousands of
+ * measurements in. Degrades the estimate to the best-observed
+ * fallback; the next round's larger sample usually regularizes the
+ * fit.
+ */
+void
+degradeOnViolation(EstimationResult &result, double confidence,
+                   const ContractViolation &violation)
+{
+    warn(std::string("estimator: tail estimation failed (") +
+         violation.what() + "); degrading to best-observed fallback");
+    result.pot = stats::PotEstimate();
+    result.pot.confidenceLevel = confidence;
+    result.pot.maxObserved = result.bestObserved;
+    stats::detail::markPotEstimateDegraded(
+        result.pot, "tail estimation raised a contract violation");
+}
+
+} // anonymous namespace
+
 EstimationResult
 OptimalPerformanceEstimator::extend(std::size_t n)
+{
+    EstimationResult result = extendPoint(n);
+    addInterval(result);
+    return result;
+}
+
+void
+OptimalPerformanceEstimator::addInterval(EstimationResult &result)
+{
+    try {
+        accumulator_.addInterval(result.pot);
+    } catch (const ContractViolation &violation) {
+        degradeOnViolation(result, options_.confidenceLevel, violation);
+    }
+}
+
+EstimationResult
+OptimalPerformanceEstimator::extendPoint(std::size_t n)
 {
     // Generate-then-batch: draw the whole extension first (the
     // sampler stream is identical to the interleaved path), then hand
@@ -70,20 +113,8 @@ OptimalPerformanceEstimator::extend(std::size_t n)
         try {
             result.pot = accumulator_.estimate();
         } catch (const ContractViolation &violation) {
-            // A contract trip inside the tail machinery (degenerate
-            // exceedance set, pathological fit input) must not kill a
-            // campaign thousands of measurements in. Degrade to the
-            // best-observed fallback and keep sampling; the next
-            // round's larger sample usually regularizes the fit.
-            warn(std::string("estimator: tail estimation failed "
-                                   "(") + violation.what() +
-                       "); degrading to best-observed fallback");
-            result.pot = stats::PotEstimate();
-            result.pot.confidenceLevel = options_.confidenceLevel;
-            result.pot.maxObserved = bestValue_;
-            stats::detail::markPotEstimateDegraded(
-                result.pot, "tail estimation raised a contract "
-                            "violation");
+            degradeOnViolation(result, options_.confidenceLevel,
+                               violation);
         }
     }
     result.modeledSeconds = static_cast<double>(attempted_) *

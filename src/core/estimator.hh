@@ -106,6 +106,23 @@ class OptimalPerformanceEstimator
      */
     EstimationResult extend(std::size_t n);
 
+    /**
+     * extend() without the profile-likelihood interval: an Ok
+     * estimate comes back with its interval pending (NaN bounds, see
+     * stats::PotEstimate::intervalPending()). The iterative loop
+     * reads only the point estimate on most rounds.
+     *
+     * @param n Assignments to add to the sample.
+     */
+    EstimationResult extendPoint(std::size_t n);
+
+    /**
+     * Adds the interval to the result of the last extendPoint() call,
+     * which makes it what extend() would have returned. No-op when no
+     * interval is pending.
+     */
+    void addInterval(EstimationResult &result);
+
     /** @return valid measurements collected so far. */
     const std::vector<double> &sample() const { return sample_; }
 

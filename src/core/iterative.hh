@@ -102,7 +102,9 @@ struct IterativeOptions
     /**
      * When true, the loss is computed against the upper end of the
      * UPB confidence interval instead of the point estimate
-     * (more conservative stopping).
+     * (more conservative stopping). Every round then computes the
+     * profile-likelihood interval, which costs about as much as the
+     * GPD fit; otherwise only the final round does.
      */
     bool useUpperConfidenceBound = false;
     /**
@@ -144,20 +146,25 @@ struct IterativeOptions
  * One Step 2/3 evaluation in the run record.
  *
  * `upb` is always the POT *point estimate* of the optimum, never the
- * confidence bound; `upbUpper` is the upper end of its confidence
- * interval. The stopping rule compares against `lossTarget`, which is
- * `upb` normally and `upbUpper` when
- * IterativeOptions::useUpperConfidenceBound is set — both are
- * recorded so reports can reproduce either loss definition.
+ * confidence bound. The stopping rule compares against `lossTarget`,
+ * which is `upb` normally and the upper end of the UPB's confidence
+ * interval when IterativeOptions::useUpperConfidenceBound is set.
+ *
+ * The loop computes the interval only where it is read: on every round
+ * under useUpperConfidenceBound, and on the round whose estimate
+ * becomes IterativeResult::final. A round that skips it records its
+ * point estimate even where the interval would have degraded it; the
+ * stop decision is the same either way, since a Degraded estimate
+ * never meets the target.
  */
 struct IterativeStep
 {
     std::size_t sampleSize = 0;   //!< sample size at this evaluation
     double bestObserved = 0.0;    //!< best assignment so far
     double upb = 0.0;             //!< UPB point estimate
-    double upbUpper = 0.0;        //!< upper CI bound of the UPB
-    /** Denominator of the stopping rule: upb, or upbUpper under
-     *  useUpperConfidenceBound (infinite when the fit is unusable). */
+    /** Denominator of the stopping rule: upb, or the interval's upper
+     *  end under useUpperConfidenceBound (infinite when the fit is
+     *  unusable). */
     double lossTarget = 0.0;
     double loss = 0.0;            //!< (lossTarget - best) / lossTarget
     std::size_t attempted = 0;    //!< measurements attempted this round
@@ -170,7 +177,9 @@ struct IterativeStep
  */
 struct IterativeResult
 {
-    EstimationResult final;            //!< last estimation
+    /** Last estimation, interval included (what
+     *  OptimalPerformanceEstimator::extend() returns). */
+    EstimationResult final;
     std::vector<IterativeStep> steps;  //!< per-iteration record
     bool satisfied = false;            //!< loss target reached
     std::size_t totalSampled = 0;      //!< valid measurements kept

@@ -40,8 +40,11 @@ class MeanExcess
 
     /**
      * Builds the mean-excess function from an already ascending-sorted
-     * sample, skipping the O(n log n) sort. Used by incremental callers
-     * that maintain the sorted order across sample extensions.
+     * sample, skipping the O(n log n) sort. The threshold selection
+     * builds it over the upper tail of a sorted sample only (see
+     * selectThresholdFromSorted()); suffix sums accumulate from the
+     * top, so e_n(u) and tailLinearity(u) at or above the tail's first
+     * value are the doubles the whole sample would give.
      *
      * @param sorted Observations in ascending order.
      */

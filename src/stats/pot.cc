@@ -2,11 +2,11 @@
  * @file
  * POT estimation implementation.
  *
- * The post-selection pipeline (GPD fit + profile-likelihood CI) is
- * shared between the from-scratch entry point
- * estimateOptimalPerformance() and the incremental PotAccumulator
- * (stats/pot_accumulator), so the two are bit-identical by
- * construction on the same exceedance set.
+ * The post-selection pipeline (GPD fit + point estimate, then the
+ * profile-likelihood CI) is shared between the from-scratch entry
+ * point estimateOptimalPerformance() and the incremental
+ * PotAccumulator (stats/pot_accumulator), so the two are bit-identical
+ * by construction on the same exceedance set.
  */
 
 #include "stats/pot.hh"
@@ -197,14 +197,11 @@ namespace detail
 {
 
 void
-finishPotEstimate(PotEstimate &est, const std::vector<double> &ys,
-                  const PotOptions &options, const GpdFit *warm_start)
+fitPotEstimate(PotEstimate &est, const std::vector<double> &ys,
+               const PotOptions &options, const GpdFit *warm_start)
 {
     // Step 3: GPD fit.
     est.fit = fitGpd(ys, options.estimator, warm_start);
-
-    // Step 4: UPB point estimate and profile-likelihood CI.
-    const double y_max = maximum(ys);
 
     // A fit that did not converge, or converged to unusable
     // parameters, cannot support the UPB algebra below: report a
@@ -225,6 +222,7 @@ finishPotEstimate(PotEstimate &est, const std::vector<double> &ys,
         return;
     }
 
+    // Step 4: UPB point estimate.
     est.upb = est.threshold - est.fit.sigma / est.fit.xi;
     if (!std::isfinite(est.upb) || est.upb <= est.threshold) {
         markPotEstimateDegraded(est, "UPB point estimate not finite");
@@ -232,6 +230,18 @@ finishPotEstimate(PotEstimate &est, const std::vector<double> &ys,
     }
     est.valid = true;
     est.status = EstimateStatus::Ok;
+    est.upbLower = std::numeric_limits<double>::quiet_NaN();
+    est.upbUpper = std::numeric_limits<double>::quiet_NaN();
+    est.profileMaxLogLik = std::numeric_limits<double>::quiet_NaN();
+}
+
+void
+addProfileInterval(PotEstimate &est, const std::vector<double> &ys,
+                   const PotOptions &options)
+{
+    if (!est.intervalPending())
+        return;
+    const double y_max = maximum(ys);
 
     // Profile maximization over b = UPB - u. The profile consists of a
     // clamped branch near b = y_max (inner xi pinned at -1, where
@@ -361,7 +371,8 @@ estimateOptimalPerformance(const std::vector<double> &sample,
         return est;
     }
 
-    detail::finishPotEstimate(est, ys, options, nullptr);
+    detail::fitPotEstimate(est, ys, options, nullptr);
+    detail::addProfileInterval(est, ys, options);
     return est;
 }
 

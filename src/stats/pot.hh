@@ -21,11 +21,18 @@
  * the GPD likelihood is bounded; the outer maximization and the two
  * CI roots are found numerically (golden section + bisection), which
  * mirrors the paper's iterative fminsearch procedure.
+ *
+ * Step 4 is two stages: the point estimate, which is all the paper's
+ * stopping rule reads, and the interval, which costs about as much as
+ * the fit. estimateOptimalPerformance() runs both; the iterative loop
+ * runs the second only on rounds that read it (see
+ * stats::PotAccumulator::addInterval()).
  */
 
 #ifndef STATSCHED_STATS_POT_HH
 #define STATSCHED_STATS_POT_HH
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -103,6 +110,18 @@ struct PotEstimate
      *  bounded (xi >= 0)", "non-finite sample values", ...); empty
      *  for valid estimates. */
     std::string invalidReason;
+
+    /**
+     * True for an Ok point estimate whose interval has not been added
+     * yet: upbLower, upbUpper and profileMaxLogLik are NaN. Invalid
+     * and Degraded estimates carry their fallback bounds and are never
+     * pending.
+     */
+    bool intervalPending() const
+    {
+        return status == EstimateStatus::Ok &&
+            std::isnan(profileMaxLogLik);
+    }
 
     /**
      * Relative headroom of the best observed assignment:
@@ -197,10 +216,13 @@ void markPotEstimateInvalid(PotEstimate &est,
 void markPotEstimateDegraded(PotEstimate &est, const char *reason);
 
 /**
- * Steps 3-4 (GPD fit + profile-likelihood CI) on an already selected
- * exceedance set. Shared between estimateOptimalPerformance() and the
- * incremental PotAccumulator so the two paths cannot drift: given the
- * same exceedances and options they produce bit-identical estimates.
+ * Step 3 and the point estimate of step 4 on an already selected
+ * exceedance set: the GPD fit, the fit-based validity checks and
+ * UPB = u - sigma/xi. An Ok result is a point estimate whose interval
+ * fields are NaN (intervalPending()); addProfileInterval() fills them.
+ * Shared between estimateOptimalPerformance() and the incremental
+ * PotAccumulator so the two paths cannot drift: given the same
+ * exceedances and options they produce bit-identical estimates.
  *
  * @param est        In/out: threshold, exceedance counts, maxObserved
  *                   and confidenceLevel must already be filled in.
@@ -209,9 +231,22 @@ void markPotEstimateDegraded(PotEstimate &est, const char *reason);
  * @param warm_start Optional previous-round fit to seed the MLE search
  *                   (nullptr = cold start from the moment estimate).
  */
-void finishPotEstimate(PotEstimate &est, const std::vector<double> &ys,
-                       const PotOptions &options,
-                       const GpdFit *warm_start);
+void fitPotEstimate(PotEstimate &est, const std::vector<double> &ys,
+                    const PotOptions &options, const GpdFit *warm_start);
+
+/**
+ * The rest of step 4: the profile-likelihood maximum and the two
+ * Wilks roots of the UPB interval. Marks the estimate Degraded when
+ * the profile has no finite maximum. Does nothing unless
+ * est.intervalPending().
+ *
+ * @param est     In/out: the point estimate fitPotEstimate() made
+ *                from `ys`.
+ * @param ys      The exceedances of that estimate.
+ * @param options POT configuration (its confidence level).
+ */
+void addProfileInterval(PotEstimate &est, const std::vector<double> &ys,
+                        const PotOptions &options);
 
 } // namespace detail
 

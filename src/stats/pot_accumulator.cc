@@ -8,10 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <utility>
 
 #include "base/check.hh"
 #include "base/logging.hh"
-#include "stats/mean_excess.hh"
 
 namespace statsched
 {
@@ -120,23 +120,22 @@ PotAccumulator::estimate()
     }
 
     // Full path: threshold selection over the maintained sorted sample
-    // (no re-sort), then the shared fit + CI pipeline.
-    auto me = MeanExcess::fromSorted(sorted_);
-    auto selection =
-        selectThresholdFromMeanExcess(me, options_.threshold);
+    // (no re-sort), then the shared fit + point estimate pipeline.
+    ThresholdSelection selection =
+        selectThresholdFromSorted(sorted_, options_.threshold);
     est.threshold = selection.threshold;
     est.exceedanceCount = selection.exceedances.size();
     est.exceedanceRate =
         static_cast<double>(selection.exceedances.size()) /
         static_cast<double>(n);
     est.tailLinearity = selection.tailLinearity;
-    const std::vector<double> &ys = selection.exceedances;
+    exceedances_ = std::move(selection.exceedances);
 
     havePrevious_ = true;
     previousCap_ = cap;
     havePending_ = false;
 
-    if (ys.size() < options_.threshold.minExceedances) {
+    if (exceedances_.size() < options_.threshold.minExceedances) {
         detail::markPotEstimateInvalid(
             est, "too few strict exceedances above the threshold");
         previous_ = est;
@@ -145,13 +144,28 @@ PotAccumulator::estimate()
 
     const GpdFit *warm =
         (warmStartFits_ && haveLastFit_) ? &lastFit_ : nullptr;
-    detail::finishPotEstimate(est, ys, options_, warm);
+    detail::fitPotEstimate(est, exceedances_, options_, warm);
     if (est.fit.converged) {
         lastFit_ = est.fit;
         haveLastFit_ = true;
     }
     previous_ = est;
     return est;
+}
+
+void
+PotAccumulator::addInterval(PotEstimate &est)
+{
+    if (!est.intervalPending())
+        return;
+    SCHED_REQUIRE(havePrevious_ && est.threshold == previous_.threshold &&
+                  est.exceedanceCount == previous_.exceedanceCount &&
+                  est.fit.xi == previous_.fit.xi &&
+                  est.fit.sigma == previous_.fit.sigma,
+                  "addInterval() needs the last estimate()'s result");
+    detail::addProfileInterval(est, exceedances_, options_);
+    // The shortcut hands previous_ out again while the tail stands.
+    previous_ = est;
 }
 
 } // namespace stats

@@ -12,12 +12,19 @@
  * provably cannot change the selected tail, and can warm-start the MLE
  * search from the previous round's fit.
  *
+ * A round's estimate() is the point estimate, which is all the paper's
+ * stopping rule reads; its interval fields stay NaN. addInterval()
+ * adds the profile-likelihood interval from the exceedances of the
+ * last estimate(), which the accumulator keeps (O(cap) memory), so a
+ * caller pays for the interval only on the rounds that read it.
+ *
  * Identity contract (exercised by tests/stats/test_pot_accumulator):
  *
- *  - With warm starts disabled, estimate() is bit-identical to
- *    estimateOptimalPerformance() on the same cumulative sample: the
- *    two run the same threshold selection and the shared
- *    detail::finishPotEstimate() pipeline on the same sorted data.
+ *  - With warm starts disabled, estimate() followed by addInterval()
+ *    is bit-identical to estimateOptimalPerformance() on the same
+ *    cumulative sample: the two run the same threshold selection and
+ *    the shared detail::fitPotEstimate() and
+ *    detail::addProfileInterval() pipeline on the same sorted data.
  *  - With warm starts enabled (the default), the fitted likelihood
  *    matches the cold fit to ~1e-9; the Nelder-Mead search simply
  *    starts closer to the optimum.
@@ -60,11 +67,23 @@ class PotAccumulator
     void extend(const std::vector<double> &values);
 
     /**
-     * POT estimate over everything extended so far. Equivalent to
-     * estimateOptimalPerformance(cumulative sample, options) — see the
-     * identity contract above.
+     * POT point estimate over everything extended so far: equal to
+     * estimateOptimalPerformance(cumulative sample, options) in every
+     * field but the interval, which stays NaN (intervalPending()) on
+     * an Ok estimate until addInterval() — see the identity contract
+     * above.
      */
     PotEstimate estimate();
+
+    /**
+     * Adds the profile-likelihood interval to `est`, the estimate the
+     * last estimate() call returned (a contract violation otherwise),
+     * from the exceedances that call selected. May mark `est`
+     * Degraded, as estimateOptimalPerformance() would. No-op when
+     * `est` has no interval pending. A later estimate() served by the
+     * tail-unchanged shortcut returns the estimate with its interval.
+     */
+    void addInterval(PotEstimate &est);
 
     /** @return the cumulative sample in ascending order. */
     const std::vector<double> &sorted() const { return sorted_; }
@@ -74,7 +93,7 @@ class PotAccumulator
 
     /**
      * @return number of estimate() calls served by the tail-unchanged
-     *         shortcut (no re-fit, no CI reconstruction).
+     *         shortcut (no re-selection, no re-fit).
      */
     std::size_t shortcutHits() const { return shortcutHits_; }
 
@@ -87,9 +106,12 @@ class PotAccumulator
 
     std::vector<double> sorted_;
 
-    /** State of the last full estimate, for the shortcut + warm start. */
+    /** State of the last full estimate, for the shortcut, the warm
+     *  start and addInterval(). */
     bool havePrevious_ = false;
     PotEstimate previous_;
+    /** Exceedances of previous_ (its interval's input). */
+    std::vector<double> exceedances_;
     std::size_t previousCap_ = 0;
     GpdFit lastFit_;
     bool haveLastFit_ = false;

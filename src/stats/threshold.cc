@@ -59,23 +59,36 @@ ThresholdSelection
 selectThreshold(const std::vector<double> &sample,
                 const ThresholdOptions &options)
 {
-    return selectThresholdFromMeanExcess(MeanExcess{sample}, options);
+    std::vector<double> sorted = sample;
+    std::sort(sorted.begin(), sorted.end());
+    return selectThresholdFromSorted(sorted, options);
 }
 
 ThresholdSelection
-selectThresholdFromMeanExcess(const MeanExcess &me,
-                              const ThresholdOptions &options)
+selectThresholdFromSorted(const std::vector<double> &sorted,
+                          const ThresholdOptions &options)
 {
     SCHED_REQUIRE(options.maxExceedanceFraction > 0.0 &&
                   options.maxExceedanceFraction < 1.0,
                   "exceedance fraction out of (0,1)");
     SCHED_REQUIRE(options.minExceedances >= 5,
                   "need at least 5 exceedances for a GPD fit");
-    const std::vector<double> &sorted = me.sorted();
     SCHED_REQUIRE(sorted.size() >= 2 * options.minExceedances,
                   "sample too small for threshold selection");
+    SCHED_REQUIRE(std::is_sorted(sorted.begin(), sorted.end()),
+                  "threshold selection requires ascending order");
 
     const std::size_t cap = exceedanceCap(sorted.size(), options);
+
+    // The lowest threshold either policy can pick is
+    // sorted[n - cap - 1]. Mean excesses and linearity at or above it
+    // read only the values from its first copy up, and the suffix sums
+    // accumulate from the top, so this tail gives every double the
+    // whole sample would.
+    const auto tail = std::lower_bound(
+        sorted.begin(), sorted.end(), sorted[sorted.size() - cap - 1]);
+    const MeanExcess me =
+        MeanExcess::fromSorted(std::vector<double>(tail, sorted.end()));
 
     if (options.policy == ThresholdPolicy::FixedFraction)
         return selectionFromCount(sorted, cap, me);

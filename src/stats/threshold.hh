@@ -71,22 +71,24 @@ ThresholdSelection
 selectThreshold(const std::vector<double> &sample,
                 const ThresholdOptions &options = {});
 
-class MeanExcess;
-
 /**
- * Same selection as selectThreshold(), but over a pre-built MeanExcess
- * (which owns the sorted sample), skipping the O(n log n) sort. Callers
- * that keep the sample sorted incrementally use this; the result is
- * bit-identical to selectThreshold() on the same sample because
- * selectThreshold() merely delegates here.
+ * Same selection as selectThreshold(), over a sample that is already
+ * in ascending order, skipping the O(n log n) sort. Callers that keep
+ * the sample sorted incrementally use this; selectThreshold() sorts a
+ * copy and delegates here, so the two are one implementation.
  *
- * @param me      Mean-excess function over the sample; me.sorted() must
- *                contain at least 2 * minExceedances values.
+ * Every candidate threshold either policy can pick is an order
+ * statistic at or above sorted[n - cap - 1] (cap = exceedanceCap(n)),
+ * so the mean-excess function is built over the tail from the first
+ * copy of that value up: O(cap) work beyond one order check per value.
+ *
+ * @param sorted  Observations in ascending order; at least
+ *                2 * minExceedances values.
  * @param options Selection policy and limits.
  */
 ThresholdSelection
-selectThresholdFromMeanExcess(const MeanExcess &me,
-                              const ThresholdOptions &options = {});
+selectThresholdFromSorted(const std::vector<double> &sorted,
+                          const ThresholdOptions &options = {});
 
 /**
  * Exceedance-count cap the selection applies for a sample of size n:

@@ -119,7 +119,7 @@ expectBitIdentical(const IterativeResult &a, const IterativeResult &b,
         EXPECT_EQ(a.steps[i].sampleSize, b.steps[i].sampleSize);
         EXPECT_EQ(a.steps[i].bestObserved, b.steps[i].bestObserved);
         EXPECT_EQ(a.steps[i].upb, b.steps[i].upb);
-        EXPECT_EQ(a.steps[i].upbUpper, b.steps[i].upbUpper);
+        EXPECT_EQ(a.steps[i].lossTarget, b.steps[i].lossTarget);
         EXPECT_EQ(a.steps[i].loss, b.steps[i].loss);
         EXPECT_EQ(a.steps[i].attempted, b.steps[i].attempted);
         EXPECT_EQ(a.steps[i].failed, b.steps[i].failed);

@@ -131,8 +131,8 @@ TEST(ParallelEngine, SerialAndParallelIterativeRunsAreIdentical)
         EXPECT_EQ(serial.steps[i].bestObserved,
                   parallel.steps[i].bestObserved);
         EXPECT_EQ(serial.steps[i].upb, parallel.steps[i].upb);
-        EXPECT_EQ(serial.steps[i].upbUpper,
-                  parallel.steps[i].upbUpper);
+        EXPECT_EQ(serial.steps[i].lossTarget,
+                  parallel.steps[i].lossTarget);
         EXPECT_EQ(serial.steps[i].loss, parallel.steps[i].loss);
     }
     ASSERT_TRUE(serial.final.bestAssignment.has_value());

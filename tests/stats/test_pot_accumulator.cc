@@ -6,10 +6,10 @@
  * The fast paths are only admissible because they are provably
  * equivalent to the from-scratch pipeline:
  *
- *  - cold PotAccumulator::estimate() must be bit-identical to
- *    estimateOptimalPerformance() on the cumulative sample, round
- *    after round, including rounds served by the tail-unchanged
- *    shortcut;
+ *  - cold PotAccumulator::estimate() plus addInterval() must be
+ *    bit-identical to estimateOptimalPerformance() on the cumulative
+ *    sample, round after round, including rounds served by the
+ *    tail-unchanged shortcut;
  *  - warm-started fitGpd() must land on the same optimum as the cold
  *    fit to likelihood tolerance;
  *  - the threaded bootstrap must be bitwise equal to the serial one.
@@ -118,7 +118,8 @@ checkColdIdentity(const PotOptions &options, std::size_t initial,
             boundedSample(250.0, r == 0 ? initial : extension, rng);
         cumulative.insert(cumulative.end(), batch.begin(), batch.end());
         acc.extend(batch);
-        const auto inc = acc.estimate();
+        auto inc = acc.estimate();
+        acc.addInterval(inc);
         const auto scratch =
             estimateOptimalPerformance(cumulative, options);
         expectBitIdentical(inc, scratch, r);
@@ -168,7 +169,8 @@ TEST(PotAccumulator, ShortcutFiresAndStaysBitIdentical)
             batch.push_back(first.threshold * (0.5 + 0.04 * i));
         cumulative.insert(cumulative.end(), batch.begin(), batch.end());
         acc.extend(batch);
-        const auto inc = acc.estimate();
+        auto inc = acc.estimate();
+        acc.addInterval(inc);
         const auto scratch =
             estimateOptimalPerformance(cumulative, options);
         expectBitIdentical(inc, scratch, r);

@@ -557,7 +557,9 @@ cmdIterate(int argc, char **argv)
     args.addOption("ndelta", "100", "per-iteration increment");
     args.addOption("max", "20000", "total sample cap");
     args.addFlag("confident",
-                 "stop against the upper CI bound of the UPB");
+                 "stop against the upper CI bound of the UPB (builds "
+                 "the CI every round: about twice the estimator's "
+                 "time)");
     args.addFlag("cold-fits",
                  "restart every GPD fit from the moment estimate "
                  "(bit-identical to from-scratch estimation)");
