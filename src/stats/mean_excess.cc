@@ -90,21 +90,30 @@ MeanExcess::tailLinearity(double u) const
 {
     // Walk only the tail of the sorted sample instead of materializing
     // the full plot and filtering: lower_bound lands on the first
-    // occurrence of the first value >= u, so the duplicate-skipping
-    // below visits exactly the plot points that the full plot would
-    // have kept, in the same order.
-    const auto begin = std::lower_bound(sorted_.begin(), sorted_.end(), u);
+    // occurrence of the first value >= u, and each step jumps over the
+    // copies of one value, so the walk visits exactly the plot points
+    // that the full plot would have kept, in the same order. The jump
+    // ends on the first value above x, which is where evaluate(x)'s
+    // upper_bound lands, so e_n(x) below is the same double.
+    const std::size_t n = sorted_.size();
+    std::size_t i = static_cast<std::size_t>(
+        std::lower_bound(sorted_.begin(), sorted_.end(), u) -
+        sorted_.begin());
     std::vector<double> xs;
     std::vector<double> ys;
-    for (auto it = begin; it != sorted_.end(); ++it) {
-        const std::size_t i =
-            static_cast<std::size_t>(it - sorted_.begin());
-        if (i + 1 >= sorted_.size())
-            break;  // the maximum has no exceedances, never plotted
-        if (it != begin && *it == *(it - 1))
-            continue;
-        xs.push_back(*it);
-        ys.push_back(evaluate(*it));
+    // The maximum has no exceedances and is never plotted.
+    while (i + 1 < n) {
+        const double x = sorted_[i];
+        std::size_t above = i + 1;
+        while (above < n && sorted_[above] == x)
+            ++above;
+        const std::size_t m = n - above;
+        xs.push_back(x);
+        ys.push_back(m == 0 ? 0.0
+                            : (suffixSum_[above] -
+                               x * static_cast<double>(m)) /
+                                  static_cast<double>(m));
+        i = above;
     }
     if (xs.size() < 2)
         return 0.0;
