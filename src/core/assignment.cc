@@ -5,13 +5,16 @@
  * The canonical key sorts task lists within pipes, sorts the two pipe
  * lists within each core, and finally sorts the per-core descriptors —
  * exactly the hardware symmetries (strand, pipe, core permutations)
- * under which the contention model is invariant.
+ * under which the contention model is invariant. The packed form
+ * reaches the same partition without sorting, by labeling cores and
+ * pipes in order of first appearance.
  */
 
 #include "core/assignment.hh"
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cstddef>
 #include <limits>
@@ -197,6 +200,69 @@ Assignment::canonicalKey() const
     for (const std::string_view core_key : core_keys)
         key += core_key;
     return key;
+}
+
+PackedCanonicalForm::PackedCanonicalForm(const Topology &topology,
+                                         std::uint32_t tasks)
+    : topology_(topology), tasks_(tasks)
+{
+    SCHED_REQUIRE(tasks >= 1 && tasks <= topology.contexts(),
+                  "packed form: task count out of range");
+    // A one-pipe chip still takes a bit per task, always 0.
+    bitsPerTask_ = std::max(
+        1u, static_cast<unsigned>(std::bit_width(topology.pipes() - 1)));
+    const std::size_t per_word = 64 / bitsPerTask_;
+    words_ = (tasks + per_word - 1) / per_word;
+    places_.reserve(topology.contexts());
+    for (ContextId ctx = 0; ctx < topology.contexts(); ++ctx)
+        places_.push_back({topology.coreOf(ctx), topology.pipeOf(ctx)});
+}
+
+void
+PackedCanonicalForm::pack(const Assignment &assignment,
+                          std::uint64_t *out) const
+{
+    SCHED_REQUIRE(assignment.topology() == topology_ &&
+                  assignment.size() == tasks_,
+                  "packed form: assignment of another shape");
+    // label[pipe] is the canonical pipe a chip-global pipe got, and
+    // next[core] the canonical pipe its core hands out next; kUnseen
+    // marks both before their first task. Both live on the stack
+    // unless the shape has more than 256 cores and pipes together.
+    constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
+    const std::size_t pipes = topology_.pipes();
+    std::array<std::uint32_t, 256> narrow;
+    std::vector<std::uint32_t> wide;
+    std::uint32_t *label = narrow.data();
+    if (pipes + topology_.cores > narrow.size()) {
+        wide.resize(pipes + topology_.cores);
+        label = wide.data();
+    }
+    std::uint32_t *const next = label + pipes;
+    std::fill_n(label, pipes + topology_.cores, kUnseen);
+
+    std::uint32_t cores_seen = 0;
+    std::uint64_t word = 0;
+    unsigned shift = 0;
+    for (const ContextId ctx : assignment.contexts()) {
+        const Place place = places_[ctx];
+        std::uint32_t &canonical = label[place.pipe];
+        if (canonical == kUnseen) {
+            std::uint32_t &core_next = next[place.core];
+            if (core_next == kUnseen)
+                core_next = cores_seen++ * topology_.pipesPerCore;
+            canonical = core_next++;
+        }
+        word |= std::uint64_t{canonical} << shift;
+        shift += bitsPerTask_;
+        if (shift + bitsPerTask_ > 64) {
+            *out++ = word;
+            word = 0;
+            shift = 0;
+        }
+    }
+    if (shift != 0)
+        *out = word;
 }
 
 std::string

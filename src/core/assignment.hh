@@ -8,7 +8,10 @@
  * invariant under permutations of equivalent hardware (cores with each
  * other, pipes within a core, strands within a pipe), so assignments
  * also expose a *canonical key* identifying their equivalence class;
- * the class count is what Table 1 of the paper reports.
+ * the class count is what Table 1 of the paper reports. The key comes
+ * in two forms with the same partition: the canonicalKey() string,
+ * whose hash journals store, and the PackedCanonicalForm words the
+ * memo keys by.
  */
 
 #ifndef STATSCHED_CORE_ASSIGNMENT_HH
@@ -104,7 +107,9 @@ class Assignment
      * Canonical key of the equivalence class under hardware symmetry:
      * two assignments get equal keys iff one can be transformed into
      * the other by permuting cores, permuting pipes within cores and
-     * permuting strands within pipes.
+     * permuting strands within pipes. Journals store a hash of these
+     * bytes (journalKeyHash()); the memo keys by the cheaper
+     * PackedCanonicalForm, which is equal exactly when this is.
      */
     std::string canonicalKey() const;
 
@@ -126,6 +131,63 @@ class Assignment
   private:
     Topology topology_;
     std::vector<ContextId> contexts_;
+};
+
+/**
+ * The canonical class of an assignment as a few machine words, for one
+ * (topology, tasks) shape. Two assignments of the shape pack to equal
+ * words exactly when their canonicalKey() strings are equal.
+ *
+ * The form labels by first appearance, which needs no sorting: walking
+ * the tasks in id order, a core gets the next canonical core number
+ * when a task first lands on it, and a pipe the next pipe number
+ * within its core. Each task contributes its canonical pipe
+ * (core * pipesPerCore + pipe) in bit_width(pipes - 1) bits, and a
+ * word holds as many whole tasks as fit: on the T2 that is 4 bits per
+ * task, one word at 12 tasks and two at 24. pack() costs O(tasks),
+ * reads each context's core and pipe from a table, and allocates
+ * nothing below 256 cores plus pipes.
+ */
+class PackedCanonicalForm
+{
+  public:
+    /**
+     * @param topology The processor shape.
+     * @param tasks    Tasks per assignment (at least one).
+     */
+    PackedCanonicalForm(const Topology &topology, std::uint32_t tasks);
+
+    /** @return the topology the form packs. */
+    const Topology &topology() const { return topology_; }
+
+    /** @return tasks per packed assignment. */
+    std::uint32_t tasks() const { return tasks_; }
+
+    /** @return 64-bit words per packed assignment. */
+    std::size_t words() const { return words_; }
+
+    /**
+     * Packs an assignment of this form's shape.
+     *
+     * @param assignment Same topology and task count as the form.
+     * @param out        Receives words() words.
+     */
+    void pack(const Assignment &assignment, std::uint64_t *out) const;
+
+  private:
+    /** Where a context sits: its core and chip-global pipe. */
+    struct Place
+    {
+        std::uint32_t core;
+        std::uint32_t pipe;
+    };
+
+    Topology topology_;
+    std::uint32_t tasks_;
+    unsigned bitsPerTask_ = 1;
+    std::size_t words_ = 0;
+    /** Place of every context, indexed by ContextId. */
+    std::vector<Place> places_;
 };
 
 } // namespace core

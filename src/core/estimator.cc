@@ -53,6 +53,7 @@ OptimalPerformanceEstimator::extend(std::size_t n)
 {
     EstimationResult result = extendPoint(n);
     addInterval(result);
+    result.sample = sample_;
     return result;
 }
 
@@ -98,7 +99,6 @@ OptimalPerformanceEstimator::extendPoint(std::size_t n)
     accumulator_.extend(values);
 
     EstimationResult result;
-    result.sample = sample_;
     result.bestAssignment = best_;
     result.bestObserved = bestValue_;
     result.attempted = attempted_;

@@ -33,7 +33,12 @@ namespace core
  */
 struct EstimationResult
 {
-    /** Measured performance of every *valid* sampled assignment. */
+    /**
+     * Measured performance of every *valid* sampled assignment, in
+     * collection order. Filled by extend() and on the result the
+     * iterative loop returns; extendPoint() leaves it empty rather
+     * than copy the whole sample every round.
+     */
     std::vector<double> sample;
     /** The best assignment observed in the sample. */
     std::optional<Assignment> bestAssignment;
@@ -109,8 +114,9 @@ class OptimalPerformanceEstimator
     /**
      * extend() without the profile-likelihood interval: an Ok
      * estimate comes back with its interval pending (NaN bounds, see
-     * stats::PotEstimate::intervalPending()). The iterative loop
-     * reads only the point estimate on most rounds.
+     * stats::PotEstimate::intervalPending()), and without the sample,
+     * which sample() views. The iterative loop reads only the point
+     * estimate on most rounds.
      *
      * @param n Assignments to add to the sample.
      */

@@ -84,7 +84,7 @@ iterativeAssignmentSearch(PerformanceEngine &engine,
                 result.abortKind = stop.kind;
                 result.abortReason = stop.reason.empty()
                     ? abortKindName(stop.kind) : stop.reason;
-                return result;
+                break;
             }
         }
 
@@ -151,19 +151,24 @@ iterativeAssignmentSearch(PerformanceEngine &engine,
         if (step.loss <= options.acceptableLoss &&
             result.totalSampled > 0) {
             result.satisfied = true;
-            return result;
+            break;
         }
         if (dead_round) {
             result.abortKind = AbortKind::EngineFailure;
             result.abortReason =
                 "every measurement in a full round failed";
-            return result;
+            break;
         }
         if (capped)
-            return result;
+            break;
 
         to_draw = options.incrementSample;
     }
+
+    // Rounds return their estimates without the sample; the final one
+    // carries it, as extend() would have returned it.
+    result.final.sample = estimator.sample();
+    return result;
 }
 
 } // namespace core

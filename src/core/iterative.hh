@@ -177,7 +177,7 @@ struct IterativeStep
  */
 struct IterativeResult
 {
-    /** Last estimation, interval included (what
+    /** Last estimation, interval and sample included (what
      *  OptimalPerformanceEstimator::extend() returns). */
     EstimationResult final;
     std::vector<IterativeStep> steps;  //!< per-iteration record
