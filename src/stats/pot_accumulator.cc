@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <utility>
 
@@ -38,12 +39,11 @@ PotAccumulator::extend(const std::vector<double> &values)
     // later fit; reject them here with a diagnostic instead of
     // poisoning the sample. Callers measuring through the engine
     // outcome channel never hit this path.
-    const std::size_t bad = static_cast<std::size_t>(
-        std::count_if(values.begin(), values.end(), [](double v) {
-            return !std::isfinite(v);
-        }));
-    std::vector<double> finite;
-    const std::vector<double> *batch = &values;
+    std::vector<double> batch;
+    batch.reserve(values.size());
+    std::copy_if(values.begin(), values.end(), std::back_inserter(batch),
+                 [](double v) { return std::isfinite(v); });
+    const std::size_t bad = values.size() - batch.size();
     if (bad != 0) {
         if (rejectedNonFinite_ == 0) {
             warn("PotAccumulator: rejecting non-finite sample "
@@ -51,32 +51,34 @@ PotAccumulator::extend(const std::vector<double> &values)
                  "extending");
         }
         rejectedNonFinite_ += bad;
-        finite.reserve(values.size() - bad);
-        std::copy_if(values.begin(), values.end(),
-                     std::back_inserter(finite), [](double v) {
-                         return std::isfinite(v);
-                     });
-        batch = &finite;
     }
-    if (batch->empty())
+    if (batch.empty())
         return;
 
-    const double batch_max =
-        *std::max_element(batch->begin(), batch->end());
-    pendingMax_ = havePending_ ? std::max(pendingMax_, batch_max)
-                               : batch_max;
+    // Sort the k new values, then merge them in from the back: O(k log
+    // k + k log n) comparisons and one move of each old value above the
+    // smallest new one, instead of a full re-sort. Each new value,
+    // largest first, lands just above the old values <= it, so old
+    // values stay ahead of equal new ones as std::inplace_merge orders
+    // them, and the merged sequence is exactly what sorting the
+    // cumulative sample produces.
+    std::sort(batch.begin(), batch.end());
+    pendingMax_ = havePending_ ? std::max(pendingMax_, batch.back())
+                               : batch.back();
     havePending_ = true;
 
-    // Sort the k new values, then merge into the n already sorted:
-    // O(k log k + n) instead of the O((n + k) log (n + k)) full
-    // re-sort. Equal values are indistinguishable, so the merged
-    // sequence is exactly what sorting the cumulative sample produces.
-    const auto old_n =
-        static_cast<std::vector<double>::difference_type>(sorted_.size());
-    sorted_.insert(sorted_.end(), batch->begin(), batch->end());
-    std::sort(sorted_.begin() + old_n, sorted_.end());
-    std::inplace_merge(sorted_.begin(), sorted_.begin() + old_n,
-                       sorted_.end());
+    std::size_t old_end = sorted_.size();
+    sorted_.resize(old_end + batch.size());
+    double *data = sorted_.data();
+    for (std::size_t j = batch.size(); j-- > 0;) {
+        const double v = batch[j];
+        const std::size_t pos = static_cast<std::size_t>(
+            std::upper_bound(data, data + old_end, v) - data);
+        std::memmove(data + pos + j + 1, data + pos,
+                     (old_end - pos) * sizeof(double));
+        data[pos + j] = v;
+        old_end = pos;
+    }
 }
 
 PotEstimate

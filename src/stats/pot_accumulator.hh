@@ -7,10 +7,11 @@
  * estimateOptimalPerformance() from scratch on every round costs an
  * O(n log n) sort plus a cold GPD fit each time, even though each
  * round only appends a small batch. PotAccumulator maintains the
- * sorted sample across extensions (O(k log k + n) merge per batch of
- * k), reuses the previous round's estimate outright when the new batch
- * provably cannot change the selected tail, and can warm-start the MLE
- * search from the previous round's fit.
+ * sorted sample across extensions (a batch of k is sorted and merged
+ * in from the back, one memmove per block of old values), reuses the
+ * previous round's estimate outright when the new batch provably
+ * cannot change the selected tail, and can warm-start the MLE search
+ * from the previous round's fit.
  *
  * A round's estimate() is the point estimate, which is all the paper's
  * stopping rule reads; its interval fields stay NaN. addInterval()
@@ -62,7 +63,10 @@ class PotAccumulator
 
     /**
      * Appends a batch of measurements, keeping the internal sample
-     * sorted (O(k log k + n) for a batch of k into a sample of n).
+     * sorted (O(k log k + k log n) comparisons and one move of each
+     * value above the batch's smallest, for a batch of k into a sample
+     * of n). The order is the one std::inplace_merge of the sorted
+     * batch gives: an old value ahead of an equal new one.
      */
     void extend(const std::vector<double> &values);
 

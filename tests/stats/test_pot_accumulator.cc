@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -282,6 +283,58 @@ TEST(PotAccumulator, RejectsNonFiniteValuesOnExtend)
     dirty.extend({std::numeric_limits<double>::quiet_NaN()});
     EXPECT_EQ(dirty.rejectedNonFinite(), 4u);
     EXPECT_EQ(dirty.size(), clean.size());
+}
+
+TEST(PotAccumulator, SortedMatchesMergeOracle)
+{
+    // After every extend the maintained order must equal, bit for bit,
+    // appending the batch, sorting it and std::inplace_merge: with ties,
+    // signed zeros, and batches wholly below and wholly above the
+    // sample.
+    Rng rng(81);
+    PotAccumulator acc;
+    std::vector<double> oracle;
+    auto extend = [&](const std::vector<double> &batch) {
+        const auto old_n =
+            static_cast<std::vector<double>::difference_type>(
+                oracle.size());
+        oracle.insert(oracle.end(), batch.begin(), batch.end());
+        std::sort(oracle.begin() + old_n, oracle.end());
+        std::inplace_merge(oracle.begin(), oracle.begin() + old_n,
+                           oracle.end());
+        acc.extend(batch);
+        ASSERT_EQ(acc.sorted().size(), oracle.size());
+        for (std::size_t i = 0; i < oracle.size(); ++i) {
+            ASSERT_TRUE(sameBits(acc.sorted()[i], oracle[i]))
+                << "index " << i << " of " << oracle.size();
+        }
+    };
+    // Quarters in [-2, 2], so most values tie, and signed zeros.
+    auto tied = [&](std::size_t k) {
+        std::vector<double> batch;
+        for (std::size_t i = 0; i < k; ++i) {
+            const double u = rng.uniform();
+            if (u < 0.1)
+                batch.push_back(u < 0.05 ? -0.0 : 0.0);
+            else
+                batch.push_back(std::floor(16.0 * rng.uniform()) / 4.0 -
+                                2.0);
+        }
+        return batch;
+    };
+    for (const std::size_t k : {1, 7, 100, 1000, 7, 1, 100})
+        extend(tied(k));
+    for (const std::size_t k : {1, 7, 100, 1000}) {
+        std::vector<double> below;
+        std::vector<double> above;
+        for (std::size_t i = 0; i < k; ++i) {
+            below.push_back(oracle.front() - 1.0 - rng.uniform());
+            above.push_back(oracle.back() + 1.0 + rng.uniform());
+        }
+        extend(below);
+        extend(above);
+        extend(tied(k));
+    }
 }
 
 TEST(Bootstrap, ParallelBitwiseEqualsSerial)
