@@ -19,9 +19,16 @@
  *               every round;
  *  - fast-warm: PotAccumulator as shipped (warm-started fits).
  *
- * It also reports GPD fits/sec (cold vs warm) and ns per fused profile
- * evaluation for exceedance counts m in {20, 100, 500}, and writes the
- * results to BENCH_estimator.json in the working directory.
+ * It also reports GPD fits/sec (cold vs warm), the share of likelihood
+ * evaluations the fit sums exactly, and ns per fused profile
+ * evaluation for exceedance counts m in {20, 100, 500, 1500}, and
+ * writes the results to BENCH_estimator.json in the working directory.
+ *
+ * Its verification pass is also a gate: every fit of the scenario and
+ * of the throughput rows, cold and warm, must equal bit for bit a fit
+ * whose search reads the exact likelihood alone (the plain-objective
+ * nelderMeadMinimize overload). The binary exits 1 otherwise, so the
+ * --quick smoke run enforces it.
  *
  * Usage: bench_estimator_hotpath [--quick]
  */
@@ -45,6 +52,7 @@
 #include "stats/profile_eval.hh"
 #include "stats/rng.hh"
 #include "stats/special_functions.hh"
+#include "stats/threshold.hh"
 
 namespace
 {
@@ -314,12 +322,81 @@ legacyEstimate(const std::vector<double> &sample,
 
 // ---------------------------------------------------------------------
 
+/**
+ * fitGpd()'s maximum-likelihood search on the exact likelihood alone:
+ * the same start, options and coordinates, through the plain-objective
+ * overload, so every comparison reads gpdNegativeLogLikelihood().
+ */
+stats::GpdFit
+exactFitGpd(const std::vector<double> &ys, const stats::GpdFit *warm_start)
+{
+    stats::NelderMeadOptions options;
+    options.maxIterations = 4000;
+    options.tolX = 1e-6;
+    options.tolF = 1e-9;
+
+    stats::GpdFit start;
+    if (warm_start != nullptr && warm_start->converged &&
+        std::isfinite(warm_start->xi) &&
+        std::isfinite(warm_start->sigma) && warm_start->sigma > 0.0) {
+        start = *warm_start;
+        options.initialPerturbation = 0.02;
+    } else {
+        start = stats::fitGpd(ys, stats::GpdEstimator::MethodOfMoments);
+    }
+    const double y_max = stats::maximum(ys);
+    if (start.xi < 0.0 && -start.sigma / start.xi <= y_max)
+        start.sigma = -start.xi * y_max * 1.05;
+    if (start.sigma <= 0.0)
+        start.sigma = y_max;
+
+    auto objective = [&ys, y_max](const std::vector<double> &p) {
+        return stats::gpdNegativeLogLikelihood(p[0], p[1] * y_max, ys);
+    };
+    auto result = stats::nelderMeadMinimize(
+        objective, {start.xi, start.sigma / y_max}, options);
+
+    stats::GpdFit fit;
+    fit.xi = result.point[0];
+    fit.sigma = result.point[1] * y_max;
+    fit.logLikelihood = -result.value;
+    fit.converged = result.converged && std::isfinite(result.value);
+    return fit;
+}
+
 bool
 bitEqual(double a, double b)
 {
     return std::bit_cast<std::uint64_t>(a) ==
         std::bit_cast<std::uint64_t>(b);
 }
+
+bool
+bitIdentical(const stats::GpdFit &a, const stats::GpdFit &b)
+{
+    return bitEqual(a.xi, b.xi) && bitEqual(a.sigma, b.sigma) &&
+        bitEqual(a.logLikelihood, b.logLikelihood) &&
+        a.converged == b.converged;
+}
+
+/** The bounded-versus-exact fit comparisons of a run. */
+struct FitGate
+{
+    std::size_t compared = 0;
+    std::size_t differing = 0;
+
+    /** Fits `ys` from `warm` both ways; returns the bounded fit. */
+    stats::GpdFit check(const std::vector<double> &ys,
+                        const stats::GpdFit *warm)
+    {
+        const auto bounded = stats::fitGpd(
+            ys, stats::GpdEstimator::MaximumLikelihood, warm);
+        ++compared;
+        if (!bitIdentical(bounded, exactFitGpd(ys, warm)))
+            ++differing;
+        return bounded;
+    }
+};
 
 bool
 bitIdentical(const stats::PotEstimate &a, const stats::PotEstimate &b)
@@ -349,6 +426,7 @@ struct ScenarioResult
     bool coldBitIdentical = true;
     double maxWarmUpbDelta = 0.0;
     std::size_t shortcutHits = 0;
+    FitGate gate;
 };
 
 /**
@@ -418,11 +496,15 @@ runScenario(std::size_t initial, std::size_t extension,
 
     // Verification passes (untimed): the cold incremental estimate
     // must match the from-scratch pipeline bit for bit on every round,
-    // and warm point estimates must agree with cold to CI-noise level.
+    // warm point estimates must agree with cold to CI-noise level, and
+    // every round's cold and warm fits must equal the exact-objective
+    // search's.
     {
         std::vector<double> cumulative;
         stats::PotAccumulator check(options, false);
         stats::PotAccumulator warm(options, true);
+        stats::GpdFit warmFit;
+        bool haveWarmFit = false;
         for (const auto &batch : batches) {
             cumulative.insert(cumulative.end(), batch.begin(),
                               batch.end());
@@ -441,6 +523,21 @@ runScenario(std::size_t initial, std::size_t extension,
                     std::max(out.maxWarmUpbDelta,
                              std::fabs(w.upb - inc.upb));
             }
+
+            // The round's fits through the gate: cold, and warm from
+            // the last converged fit, as PotAccumulator starts it.
+            const auto selection = stats::selectThresholdFromSorted(
+                check.sorted(), options.threshold);
+            const auto &ys = selection.exceedances;
+            if (ys.size() < options.threshold.minExceedances)
+                continue;
+            out.gate.check(ys, nullptr);
+            const auto warm_fit = out.gate.check(
+                ys, haveWarmFit ? &warmFit : nullptr);
+            if (warm_fit.converged) {
+                warmFit = warm_fit;
+                haveWarmFit = true;
+            }
         }
         out.shortcutHits = check.shortcutHits();
     }
@@ -451,16 +548,30 @@ struct FitRates
 {
     double coldPerSec = 0.0;
     double warmPerSec = 0.0;
+    double coldExactShare = 0.0;   //!< exact / all likelihood evaluations
+    double warmExactShare = 0.0;
     double profileEvalNs = 0.0;
 };
 
+double
+exactShare(const stats::GpdFit &fit)
+{
+    return static_cast<double>(fit.exactEvaluations) /
+        static_cast<double>(fit.evaluations);
+}
+
 FitRates
-fitThroughput(std::size_t m, int iters)
+fitThroughput(std::size_t m, int iters, FitGate &gate)
 {
     stats::Rng rng(99 + m);
     const auto ys = gpdSample(-0.3, 1.0, m, rng);
 
     FitRates out;
+    {
+        const auto cold = gate.check(ys, nullptr);
+        out.coldExactShare = exactShare(cold);
+        out.warmExactShare = exactShare(gate.check(ys, &cold));
+    }
     {
         const auto start = Clock::now();
         for (int i = 0; i < iters; ++i) {
@@ -528,22 +639,35 @@ main(int argc, char **argv)
                 sc.maxWarmUpbDelta, sc.shortcutHits);
 
     bench::section("fit throughput and profile evaluation");
-    std::printf("%6s %14s %14s %16s\n", "m", "cold fits/s",
-                "warm fits/s", "profile eval ns");
-    const std::size_t ms[] = {20, 100, 500};
-    FitRates rates[3];
-    for (int i = 0; i < 3; ++i) {
-        rates[i] = fitThroughput(ms[i], fit_iters);
-        std::printf("%6zu %14.0f %14.0f %16.1f\n", ms[i],
-                    rates[i].coldPerSec, rates[i].warmPerSec,
+    std::printf("%6s %12s %12s %11s %11s %16s\n", "m", "cold fits/s",
+                "warm fits/s", "cold exact", "warm exact",
+                "profile eval ns");
+    // 1500 is about paper-stateful12's mean exceedance count.
+    constexpr int rows = 4;
+    const std::size_t ms[rows] = {20, 100, 500, 1500};
+    FitRates rates[rows];
+    FitGate gate = sc.gate;
+    for (int i = 0; i < rows; ++i) {
+        rates[i] = fitThroughput(ms[i], fit_iters, gate);
+        std::printf("%6zu %12.0f %12.0f %10.1f%% %10.1f%% %16.1f\n",
+                    ms[i], rates[i].coldPerSec, rates[i].warmPerSec,
+                    100.0 * rates[i].coldExactShare,
+                    100.0 * rates[i].warmExactShare,
                     rates[i].profileEvalNs);
     }
+    const bool fits_identical = gate.differing == 0;
+    std::printf("\nbounded fits bit-identical to the exact-objective "
+                "search: %s (%zu fits)\n",
+                fits_identical ? "yes" : "NO", gate.compared);
 
     // Machine-readable record of this run.
     FILE *json = std::fopen("BENCH_estimator.json", "w");
     if (json) {
         std::fprintf(json, "{\n");
         std::fprintf(json, "  \"benchmark\": \"estimator_hotpath\",\n");
+        std::fprintf(json,
+                     "  \"command\": \"build/bench/bench_estimator_hotpath"
+                     "%s\",\n", quick ? " --quick" : "");
         std::fprintf(json, "  \"quick\": %s,\n",
                      quick ? "true" : "false");
         std::fprintf(json,
@@ -569,16 +693,23 @@ main(int argc, char **argv)
                      sc.shortcutHits);
         std::fprintf(json, "  },\n");
         std::fprintf(json, "  \"fit_throughput\": [\n");
-        for (int i = 0; i < 3; ++i) {
+        for (int i = 0; i < rows; ++i) {
             std::fprintf(json,
                          "    {\"m\": %zu, \"cold_fits_per_sec\": "
                          "%.0f, \"warm_fits_per_sec\": %.0f, "
+                         "\"cold_exact_share\": %.3f, "
+                         "\"warm_exact_share\": %.3f, "
                          "\"profile_eval_ns\": %.1f}%s\n",
                          ms[i], rates[i].coldPerSec,
-                         rates[i].warmPerSec, rates[i].profileEvalNs,
-                         i + 1 < 3 ? "," : "");
+                         rates[i].warmPerSec, rates[i].coldExactShare,
+                         rates[i].warmExactShare, rates[i].profileEvalNs,
+                         i + 1 < rows ? "," : "");
         }
-        std::fprintf(json, "  ]\n}\n");
+        std::fprintf(json, "  ],\n");
+        std::fprintf(json,
+                     "  \"fits_compared\": %zu,\n"
+                     "  \"fits_bit_identical\": %s\n}\n",
+                     gate.compared, fits_identical ? "true" : "false");
         std::fclose(json);
         std::printf("\nwrote BENCH_estimator.json\n");
     }
@@ -586,6 +717,12 @@ main(int argc, char **argv)
     if (!sc.coldBitIdentical) {
         std::printf("FAIL: cold incremental estimate diverged from "
                     "the from-scratch pipeline\n");
+        return 1;
+    }
+    if (!fits_identical) {
+        std::printf("FAIL: %zu of %zu bounded fits differ from the "
+                    "exact-objective search\n",
+                    gate.differing, gate.compared);
         return 1;
     }
     return 0;
