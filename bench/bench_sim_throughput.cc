@@ -10,10 +10,11 @@
  *  - baseline:  the frozen pre-refactor model (sim/reference_solver),
  *               which allocates on every call and re-derives all
  *               assignment-independent quantities;
- *  - serial:    SimulatedEngine::measureBatch on one thread —
- *               precomputed SoA tables + one reused Scratch;
+ *  - serial:    SimulatedEngine::measureBatch on one thread, i.e. the
+ *               base class's loop over the engine's kernel —
+ *               precomputed SoA tables + the thread's one Scratch;
  *  - parallel:  the same batch through core::ParallelEngine at 4 and
- *               16 threads (per-thread Scratch leases from the pool).
+ *               16 threads, each thread on its own Scratch.
  *
  * Three scenarios (small / medium / large) plus a task:context
  * occupancy sweep on the 64-context UltraSPARC T2 topology. Every
@@ -262,6 +263,9 @@ main(int argc, char **argv)
     if (json) {
         std::fprintf(json, "{\n");
         std::fprintf(json, "  \"benchmark\": \"sim_throughput\",\n");
+        std::fprintf(json,
+                     "  \"command\": \"build/bench/bench_sim_throughput"
+                     "%s\",\n", smoke ? " --smoke" : "");
         std::fprintf(json, "  \"smoke\": %s,\n",
                      smoke ? "true" : "false");
         std::fprintf(json,

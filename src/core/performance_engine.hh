@@ -207,11 +207,6 @@ struct EngineStats
     std::uint64_t solves = 0;
     /** Fixed-point iterations spent across those solves. */
     std::uint64_t solverIterations = 0;
-    /** Measurements served by a pooled (reused) scratch workspace. */
-    std::uint64_t scratchReuses = 0;
-    /** Measurements that had to heap-allocate a workspace because
-     *  the pool was exhausted. */
-    std::uint64_t scratchFallbacks = 0;
     /** Measurements served by remote shard workers
      *  (core::ShardedEngine). */
     std::uint64_t shardedMeasurements = 0;
@@ -278,10 +273,12 @@ class PerformanceEngine
 
     /**
      * Measures a batch of assignments; out[i] receives the
-     * performance of batch[i]. The default implementation is the
-     * serial loop over measure(), so every engine supports batches;
-     * engines with independent per-item evaluation override it (or
-     * publish a parallelKernel()) for speed.
+     * performance of batch[i]. The default runs the engine's
+     * parallelKernel() over the batch on the calling thread, so the
+     * batch makes one reservation and measures exactly as a
+     * core::ParallelEngine would; an engine without a kernel gets the
+     * serial loop over measure(). Either way every engine supports
+     * batches.
      *
      * @param batch Assignments to measure.
      * @param out   Results, same size as `batch`.
@@ -292,6 +289,11 @@ class PerformanceEngine
     {
         SCHED_REQUIRE(batch.size() == out.size(),
                       "batch/result size mismatch");
+        if (const BatchKernel kernel = parallelKernel(batch.size())) {
+            for (std::size_t i = 0; i < batch.size(); ++i)
+                out[i] = kernel(batch[i], i);
+            return;
+        }
         for (std::size_t i = 0; i < batch.size(); ++i)
             out[i] = measure(batch[i]);
     }

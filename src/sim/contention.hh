@@ -87,8 +87,11 @@ class ContentionSolver
      * Reusable solve workspace. All buffers grow to their
      * steady-state capacity on the first solve against a given
      * workload/topology shape and are reused afterwards; a Scratch
-     * must not be shared between concurrent solveInto() calls (give
-     * each thread its own — sim::ScratchPool does exactly that).
+     * must not be shared between concurrent solveInto() calls.
+     * sim::SimulatedEngine gives each thread one, which every solver
+     * on that thread uses in turn: no solve reads what another left,
+     * since solveInto() resizes or overwrites each buffer before
+     * reading it and refills the shared-footprint slots with +0.0.
      */
     struct Scratch
     {

@@ -4,8 +4,9 @@
  *
  * Batch-first layout: one measurement needs a full machine image —
  * per-core caches, strand state, stage queues, pipe groupings — and
- * constructing it fresh per call dominated small runs. Images live in
- * a ScratchPool and are *reset in place* between measurements:
+ * constructing it fresh per call dominated small runs. Each thread
+ * keeps one image (a thread_local, shared by every CycleSimEngine on
+ * the thread) and *resets it in place* between measurements:
  * SetAssociativeCache::reset() is exactly equivalent to
  * reconstruction, strands are re-seeded from (seed, task) as before,
  * and queues/cursors are zeroed — so a reused image is bit-identical
@@ -15,12 +16,10 @@
 #include "sim/cycle_sim.hh"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "base/check.hh"
 #include "sim/cache.hh"
-#include "sim/scratch_pool.hh"
 #include "stats/rng.hh"
 
 namespace statsched
@@ -59,45 +58,37 @@ struct Strand
     stats::Rng rng{0};
 };
 
-} // anonymous namespace
-
-struct CycleSimEngine::Impl
+/**
+ * One reusable machine image. Caches are built on first use for the
+ * chip at hand and reset in place afterwards; everything else is
+ * reinitialised from scratch each measurement.
+ */
+struct Machine
 {
-    /**
-     * One reusable machine image. Caches are built on first use for
-     * the topology at hand and reset in place afterwards; everything
-     * else is reinitialised from scratch each measurement.
-     */
-    struct Machine
-    {
-        std::vector<SetAssociativeCache> l1d;
-        std::vector<SetAssociativeCache> l1i;
-        /** Zero or one entry; a vector only for default construction. */
-        std::vector<SetAssociativeCache> l2;
-        std::vector<Strand> strands;
-        std::vector<std::uint32_t> queueOcc;
-        std::vector<std::uint32_t> pipeOffsets;
-        std::vector<core::TaskId> pipeTasks;
-        std::vector<std::uint32_t> rr;
-    };
+    /** Geometry the caches were built for; 0 cores = none built. */
+    std::uint32_t cores = 0;
+    double l1dKb = 0.0;
+    double l1iKb = 0.0;
+    double l2Kb = 0.0;
 
-    ScratchPool<Machine> pool;
-
-    /** Runs one measurement on a (possibly reused) machine image. */
-    static double run(const Workload &workload,
-                      const ChipConfig &config,
-                      const CycleSimOptions &options,
-                      const core::Assignment &assignment,
-                      Machine &m);
+    std::vector<SetAssociativeCache> l1d;
+    std::vector<SetAssociativeCache> l1i;
+    /** Zero or one entry; a vector only for default construction. */
+    std::vector<SetAssociativeCache> l2;
+    std::vector<Strand> strands;
+    std::vector<std::uint32_t> queueOcc;
+    std::vector<std::uint32_t> pipeOffsets;
+    std::vector<core::TaskId> pipeTasks;
+    std::vector<std::uint32_t> rr;
 };
 
+/** Runs one measurement on the calling thread's machine image. */
 double
-CycleSimEngine::Impl::run(const Workload &workload,
-                          const ChipConfig &config,
-                          const CycleSimOptions &options,
-                          const core::Assignment &assignment,
-                          Machine &m)
+runMachine(const Workload &workload, const ChipConfig &config,
+           const CycleSimOptions &options,
+           const core::Assignment &assignment)
 {
+    thread_local Machine m;
     SCHED_REQUIRE(assignment.size() == workload.taskCount(),
                   "assignment/workload mismatch");
     const core::Topology &topo = assignment.topology();
@@ -106,9 +97,15 @@ CycleSimEngine::Impl::run(const Workload &workload,
 
     // --- Machine state.
     // T2-like cache geometry: 8 KB 4-way 16 B L1D, 16 KB 8-way 32 B
-    // L1I per core, 4 MB 16-way 64 B shared L2. Built once per image;
-    // reset() restores the just-constructed state thereafter.
-    if (m.l1d.size() != topo.cores) {
+    // L1I per core, 4 MB 16-way 64 B shared L2. Built once per chip;
+    // reset() restores the just-constructed state thereafter. Every
+    // CycleSimEngine on the thread shares the image, so a different
+    // core count or cache size rebuilds it. The image counts as
+    // unbuilt until the build completes, so a cache constructor that
+    // throws leaves nothing half-built behind.
+    if (m.cores != topo.cores || m.l1dKb != config.l1dKb ||
+        m.l1iKb != config.l1iKb || m.l2Kb != config.l2Kb) {
+        m.cores = 0;
         m.l1d.clear();
         m.l1i.clear();
         m.l2.clear();
@@ -117,6 +114,10 @@ CycleSimEngine::Impl::run(const Workload &workload,
             m.l1i.emplace_back(config.l1iKb, 8, 32);
         }
         m.l2.emplace_back(config.l2Kb, 16, 64);
+        m.cores = topo.cores;
+        m.l1dKb = config.l1dKb;
+        m.l1iKb = config.l1iKb;
+        m.l2Kb = config.l2Kb;
     } else {
         for (auto &cache : m.l1d)
             cache.reset();
@@ -318,19 +319,19 @@ CycleSimEngine::Impl::run(const Workload &workload,
     return static_cast<double>(transmitted) / seconds;
 }
 
+} // anonymous namespace
+
 CycleSimEngine::CycleSimEngine(Workload workload,
                                const ChipConfig &config,
                                const CycleSimOptions &options)
     : workload_(std::move(workload)), config_(config),
-      options_(options), impl_(std::make_unique<Impl>())
+      options_(options)
 {
     SCHED_REQUIRE(workload_.taskCount() > 0, "empty workload");
     SCHED_REQUIRE(options_.cycles >= 1000,
                   "simulate at least 1000 cycles");
     SCHED_REQUIRE(options_.queueDepth >= 1, "empty stage queues");
 }
-
-CycleSimEngine::~CycleSimEngine() = default;
 
 double
 CycleSimEngine::secondsPerMeasurement() const
@@ -343,23 +344,7 @@ CycleSimEngine::secondsPerMeasurement() const
 double
 CycleSimEngine::measure(const core::Assignment &assignment)
 {
-    auto lease = impl_->pool.acquire();
-    return Impl::run(workload_, config_, options_, assignment,
-                     *lease);
-}
-
-void
-CycleSimEngine::measureBatch(std::span<const core::Assignment> batch,
-                             std::span<double> out)
-{
-    SCHED_REQUIRE(batch.size() == out.size(),
-                  "batch/result size mismatch");
-    // One machine image for the whole serial batch.
-    auto lease = impl_->pool.acquire();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        out[i] = Impl::run(workload_, config_, options_, batch[i],
-                           *lease);
-    }
+    return runMachine(workload_, config_, options_, assignment);
 }
 
 core::BatchKernel
@@ -367,16 +352,8 @@ CycleSimEngine::parallelKernel(std::size_t batchSize)
 {
     (void)batchSize;   // no per-measurement state to reserve
     return [this](const core::Assignment &a, std::size_t) {
-        auto lease = impl_->pool.acquire();
-        return Impl::run(workload_, config_, options_, a, *lease);
+        return runMachine(workload_, config_, options_, a);
     };
-}
-
-void
-CycleSimEngine::collectStats(core::EngineStats &stats) const
-{
-    stats.scratchReuses += impl_->pool.reuses();
-    stats.scratchFallbacks += impl_->pool.fallbacks();
 }
 
 std::string

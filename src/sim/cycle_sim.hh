@@ -22,6 +22,10 @@
  *    output is full, so backpressure and bottleneck propagation are
  *    emergent rather than modeled.
  *
+ * Each thread measures on one machine image, a thread_local shared by
+ * every CycleSimEngine on the thread and reset in place between
+ * measurements (cycle_sim.cc).
+ *
  * bench/abl_cycle_vs_analytic compares the two engines assignment by
  * assignment and runs the EVT estimation on both populations.
  */
@@ -30,7 +34,6 @@
 #define STATSCHED_SIM_CYCLE_SIM_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "core/performance_engine.hh"
@@ -75,26 +78,18 @@ class CycleSimEngine : public core::PerformanceEngine
     CycleSimEngine(Workload workload, const ChipConfig &config = {},
                    const CycleSimOptions &options = {});
 
-    ~CycleSimEngine() override;
-
     /** @return packets per second measured by simulation. */
     double measure(const core::Assignment &assignment) override;
-
-    void measureBatch(std::span<const core::Assignment> batch,
-                      std::span<double> out) override;
 
     /**
      * The cycle simulation is a deterministic pure function of the
      * assignment (RNG streams are seeded per strand, not per call),
      * so batch items evaluate independently on any thread with
-     * bit-identical results; each evaluation leases a pooled machine
-     * image (caches, strand state, queues) and resets it in place
-     * instead of reallocating.
+     * bit-identical results; each evaluation resets its thread's
+     * machine image (caches, strand state, queues) in place instead
+     * of reallocating.
      */
     core::BatchKernel parallelKernel(std::size_t batchSize) override;
-
-    /** Contributes scratch-pool reuse/fallback counters. */
-    void collectStats(core::EngineStats &stats) const override;
 
     std::string name() const override;
 
@@ -106,13 +101,9 @@ class CycleSimEngine : public core::PerformanceEngine
     const Workload &workload() const { return workload_; }
 
   private:
-    /** Pool of reusable machine images (defined in the .cc). */
-    struct Impl;
-
     Workload workload_;
     ChipConfig config_;
     CycleSimOptions options_;
-    std::unique_ptr<Impl> impl_;
 };
 
 } // namespace sim

@@ -2,7 +2,7 @@
  * @file
  * SimulatedEngine implementation.
  *
- * Hot-path discipline: everything downstream of stageRatesInto() must
+ * Hot-path discipline: everything downstream of stageRates() must
  * stay allocation-free in steady state (tools/lint enforces this via
  * statsched-sim-hot-alloc) and bit-identical to the frozen reference
  * engine. Per-edge crossing penalties are precomputed at construction
@@ -60,11 +60,35 @@ SimulatedEngine::SimulatedEngine(Workload workload,
     }
 }
 
-void
-SimulatedEngine::stageRatesInto(const core::Assignment &assignment,
-                                Scratch &scratch) const
+/**
+ * The solver's workspace plus the engine's own stage-rate buffers.
+ *
+ * One per thread, shared by every SimulatedEngine the thread measures
+ * with, whatever its workload or topology. Sharing is safe because no
+ * solve reads what an earlier one left: solveInto() and stageRates()
+ * resize or overwrite every buffer before reading it, and each solve
+ * refills the shared-footprint slots with +0.0 after summing them
+ * (sim/contention.hh).
+ */
+struct SimulatedEngine::Scratch
 {
+    ContentionSolver::Scratch solver;
+    ContentionResult solved;
+    /** Exposed queue-crossing cycles per task. */
+    std::vector<double> crossing;
+    /** Bottleneck candidate packet rate per stage. */
+    std::vector<double> stagePps;
+};
+
+const SimulatedEngine::Scratch &
+SimulatedEngine::stageRates(const core::Assignment &assignment) const
+{
+    thread_local Scratch scratch;
     solver_.solveInto(assignment, scratch.solver, scratch.solved);
+    solves_.fetch_add(1, std::memory_order_relaxed);
+    solverIterations_.fetch_add(
+        static_cast<std::uint64_t>(scratch.solved.iterations),
+        std::memory_order_relaxed);
 
     // The solver just cached every task's core id in its scratch;
     // reuse it instead of re-deriving each endpoint's core through
@@ -88,64 +112,40 @@ SimulatedEngine::stageRatesInto(const core::Assignment &assignment,
             scratch.crossing[t];
         scratch.stagePps[t] = cyclesPerSecond_ / cycles_per_packet;
     }
+    return scratch;
 }
 
-void
-SimulatedEngine::instanceThroughputsInto(
-    const core::Assignment &assignment, Scratch &scratch,
-    std::vector<double> &out) const
+double
+SimulatedEngine::bottleneck(const Scratch &scratch, std::size_t i) const
 {
-    stageRatesInto(assignment, scratch);
-    countSolve(scratch);
-
-    // Each pipeline runs at its bottleneck stage.
-    const std::size_t instances = workload_.instances().size();
-    out.resize(instances);
-    for (std::size_t i = 0; i < instances; ++i) {
-        const auto [first, last] = workload_.instanceTaskRange(i);
-        double pps = scratch.stagePps[first];
-        for (std::uint32_t t = first + 1; t <= last; ++t)
-            pps = std::min(pps, scratch.stagePps[t]);
-        out[i] = pps;
-    }
+    const auto [first, last] = workload_.instanceTaskRange(i);
+    double pps = scratch.stagePps[first];
+    for (std::uint32_t t = first + 1; t <= last; ++t)
+        pps = std::min(pps, scratch.stagePps[t]);
+    return pps;
 }
 
 std::vector<double>
 SimulatedEngine::instanceThroughputs(
     const core::Assignment &assignment) const
 {
-    auto lease = pool_.acquire();
-    std::vector<double> out; // NOLINT(statsched-sim-hot-alloc): one-shot convenience wrapper; batch callers use instanceThroughputsInto
-    instanceThroughputsInto(assignment, *lease, out);
+    const Scratch &scratch = stageRates(assignment);
+    std::vector<double> out(workload_.instances().size()); // NOLINT(statsched-sim-hot-alloc): per-instance report for tests and baselines, off the measurement path
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = bottleneck(scratch, i);
     return out;
-}
-
-double
-SimulatedEngine::deterministicInto(const core::Assignment &assignment,
-                                   Scratch &scratch) const
-{
-    stageRatesInto(assignment, scratch);
-
-    // Sum of per-instance bottlenecks, accumulated in instance order
-    // (the same order the per-instance vector would be summed in).
-    double total = 0.0;
-    for (std::size_t i = 0; i < workload_.instances().size(); ++i) {
-        const auto [first, last] = workload_.instanceTaskRange(i);
-        double pps = scratch.stagePps[first];
-        for (std::uint32_t t = first + 1; t <= last; ++t)
-            pps = std::min(pps, scratch.stagePps[t]);
-        total += pps;
-    }
-    return total;
 }
 
 double
 SimulatedEngine::deterministic(const core::Assignment &assignment) const
 {
-    auto lease = pool_.acquire();
-    const double value = deterministicInto(assignment, *lease);
-    countSolve(*lease);
-    return value;
+    // Sum of per-instance bottlenecks, accumulated in instance order
+    // (the same order the per-instance vector would be summed in).
+    const Scratch &scratch = stageRates(assignment);
+    double total = 0.0;
+    for (std::size_t i = 0; i < workload_.instances().size(); ++i)
+        total += bottleneck(scratch, i);
+    return total;
 }
 
 double
@@ -172,33 +172,7 @@ SimulatedEngine::measure(const core::Assignment &assignment)
 {
     const std::uint64_t index =
         noiseCursor_.fetch_add(1, std::memory_order_relaxed);
-    auto lease = pool_.acquire();
-    const double value = deterministicInto(assignment, *lease);
-    countSolve(*lease);
-    return value * noiseFactorAt(index);
-}
-
-void
-SimulatedEngine::measureBatch(std::span<const core::Assignment> batch,
-                              std::span<double> out)
-{
-    SCHED_REQUIRE(batch.size() == out.size(),
-                  "batch/result size mismatch");
-    // One workspace for the whole serial batch: the kernel closure is
-    // bypassed so the lease is acquired once, not per item.
-    const std::uint64_t base = noiseCursor_.fetch_add(
-        batch.size(), std::memory_order_relaxed);
-    auto lease = pool_.acquire();
-    std::uint64_t iterations = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        out[i] = deterministicInto(batch[i], *lease) *
-            noiseFactorAt(base + i);
-        iterations +=
-            static_cast<std::uint64_t>(lease->solved.iterations);
-    }
-    solves_.fetch_add(batch.size(), std::memory_order_relaxed);
-    solverIterations_.fetch_add(iterations,
-                                std::memory_order_relaxed);
+    return deterministic(assignment) * noiseFactorAt(index);
 }
 
 core::BatchKernel
@@ -207,10 +181,7 @@ SimulatedEngine::parallelKernel(std::size_t batchSize)
     const std::uint64_t base =
         noiseCursor_.fetch_add(batchSize, std::memory_order_relaxed);
     return [this, base](const core::Assignment &a, std::size_t i) {
-        auto lease = pool_.acquire();
-        const double value = deterministicInto(a, *lease);
-        countSolve(*lease);
-        return value * noiseFactorAt(base + i);
+        return deterministic(a) * noiseFactorAt(base + i);
     };
 }
 
@@ -220,8 +191,6 @@ SimulatedEngine::collectStats(core::EngineStats &stats) const
     stats.solves += solves_.load(std::memory_order_relaxed);
     stats.solverIterations +=
         solverIterations_.load(std::memory_order_relaxed);
-    stats.scratchReuses += pool_.reuses();
-    stats.scratchFallbacks += pool_.fallbacks();
 }
 
 std::string

@@ -24,12 +24,14 @@
  * instructions per packet, cycles per second, the queue-crossing
  * penalty each edge would pay if split across cores — is precomputed
  * at construction, and the per-measurement remainder runs
- * allocation-free against a pooled per-thread Scratch workspace
- * (sim::ScratchPool). The kernels published by parallelKernel() lease
- * a workspace per evaluation, so core::ParallelEngine workers neither
- * contend nor allocate in steady state, with outputs bit-identical to
- * the serial path and to the frozen pre-refactor engine
- * (sim/reference_solver.hh).
+ * allocation-free against the measuring thread's own workspace (a
+ * thread_local in engine.cc, shared by every SimulatedEngine on that
+ * thread). Measurement has one path, the kernel published by
+ * parallelKernel(): core::ParallelEngine fans it out, and the base
+ * class's measureBatch() loops it on the calling thread. Workers
+ * neither contend nor allocate in steady state, and outputs are
+ * bit-identical at any thread count and to the frozen pre-refactor
+ * engine (sim/reference_solver.hh).
  */
 
 #ifndef STATSCHED_SIM_ENGINE_HH
@@ -41,7 +43,6 @@
 
 #include "core/performance_engine.hh"
 #include "sim/contention.hh"
-#include "sim/scratch_pool.hh"
 #include "sim/workload.hh"
 #include "stats/rng.hh"
 
@@ -72,21 +73,6 @@ class SimulatedEngine : public core::PerformanceEngine
 {
   public:
     /**
-     * Per-thread measurement workspace: the solver scratch plus the
-     * engine's own stage-rate buffers. Reused across measurements;
-     * never shared between concurrent evaluations.
-     */
-    struct Scratch
-    {
-        ContentionSolver::Scratch solver;
-        ContentionResult solved;
-        /** Exposed queue-crossing cycles per task. */
-        std::vector<double> crossing;
-        /** Bottleneck candidate packet rate per stage. */
-        std::vector<double> stagePps;
-    };
-
-    /**
      * @param workload Workload to schedule (copied).
      * @param config   Chip configuration.
      * @param options  Noise and timing options.
@@ -96,9 +82,6 @@ class SimulatedEngine : public core::PerformanceEngine
 
     /** @return packets per second for the assignment (with noise). */
     double measure(const core::Assignment &assignment) override;
-
-    void measureBatch(std::span<const core::Assignment> batch,
-                      std::span<double> out) override;
 
     /**
      * Reserves the next `batchSize` noise indices and returns the
@@ -117,10 +100,8 @@ class SimulatedEngine : public core::PerformanceEngine
         return options_.secondsPerMeasurement;
     }
 
-    /**
-     * Contributes solver and scratch-pool counters (solves, fixed-
-     * point iterations, workspace reuses/fallbacks).
-     */
+    /** Contributes the solver counters (solves, fixed-point
+     *  iterations). */
     void collectStats(core::EngineStats &stats) const override;
 
     /** @return the workload driving this engine. */
@@ -133,39 +114,23 @@ class SimulatedEngine : public core::PerformanceEngine
     std::vector<double>
     instanceThroughputs(const core::Assignment &assignment) const;
 
-    /**
-     * Allocation-free variant of instanceThroughputs(): fills `out`
-     * (resized in place) using only the caller's workspace. Batch
-     * consumers reuse one Scratch + output buffer across calls.
-     */
-    void instanceThroughputsInto(const core::Assignment &assignment,
-                                 Scratch &scratch,
-                                 std::vector<double> &out) const;
-
   private:
+    /** Per-thread measurement workspace (defined in engine.cc). */
+    struct Scratch;
+
     /** Multiplicative noise factor of measurement `index`. */
     double noiseFactorAt(std::uint64_t index) const;
 
-    /** Solves and fills scratch.stagePps; shared by the Into paths.
-     *  Does not touch the stats counters — callers account solves
-     *  themselves (the serial batch loop folds a whole batch into two
-     *  atomic adds instead of two per item). */
-    void stageRatesInto(const core::Assignment &assignment,
-                        Scratch &scratch) const;
+    /**
+     * Solves `assignment` on the calling thread's workspace, counts
+     * the solve, and returns that workspace with every stage's packet
+     * rate in `stagePps`. The workspace stays valid until the thread's
+     * next measurement on any SimulatedEngine.
+     */
+    const Scratch &stageRates(const core::Assignment &assignment) const;
 
-    /** Noise-free total PPS using the caller's workspace; uncounted
-     *  like stageRatesInto(). */
-    double deterministicInto(const core::Assignment &assignment,
-                             Scratch &scratch) const;
-
-    /** Adds one stageRatesInto() outcome to the stats counters. */
-    void countSolve(const Scratch &scratch) const
-    {
-        solves_.fetch_add(1, std::memory_order_relaxed);
-        solverIterations_.fetch_add(
-            static_cast<std::uint64_t>(scratch.solved.iterations),
-            std::memory_order_relaxed);
-    }
+    /** @return instance `i`'s packet rate: its slowest stage. */
+    double bottleneck(const Scratch &scratch, std::size_t i) const;
 
     Workload workload_;
     ChipConfig config_;
@@ -188,8 +153,6 @@ class SimulatedEngine : public core::PerformanceEngine
     std::vector<double> instrPerPacket_;
     std::vector<EdgeCrossing> edgeCrossings_;
 
-    /** Per-thread workspaces for the measurement hot path. */
-    mutable ScratchPool<Scratch> pool_;
     /** Contention solves executed (all channels). */
     mutable std::atomic<std::uint64_t> solves_{0};
     /** Fixed-point iterations across those solves. */

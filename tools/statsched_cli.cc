@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,6 +45,8 @@
 #include "sim/benchmarks.hh"
 #include "sim/engine.hh"
 
+#include "engine_flags.hh"
+
 namespace
 {
 
@@ -63,30 +66,6 @@ parseTopology(const std::string &spec)
         std::exit(2);
     }
     return core::Topology{c, p, s};
-}
-
-sim::Benchmark
-parseBenchmark(const std::string &name)
-{
-    using sim::Benchmark;
-    if (name == "ipfwd-l1")
-        return Benchmark::IpfwdL1;
-    if (name == "ipfwd-mem")
-        return Benchmark::IpfwdMem;
-    if (name == "analyzer")
-        return Benchmark::PacketAnalyzer;
-    if (name == "aho")
-        return Benchmark::AhoCorasick;
-    if (name == "stateful")
-        return Benchmark::Stateful;
-    if (name == "intadd")
-        return Benchmark::IpfwdIntAdd;
-    if (name == "intmul")
-        return Benchmark::IpfwdIntMul;
-    std::fprintf(stderr, "unknown benchmark '%s' (ipfwd-l1, "
-                 "ipfwd-mem, analyzer, aho, stateful, intadd, "
-                 "intmul)\n", name.c_str());
-    std::exit(2);
 }
 
 /** Parses the command's options or exits with its usage text. */
@@ -125,23 +104,12 @@ positiveOrDie(const OptionParser &parser, const std::string &command,
 void
 addEngineOptions(OptionParser &parser)
 {
-    parser.addOption("benchmark", "ipfwd-l1", "workload kernel");
-    parser.addOption("instances", "8", "pipeline instances");
+    tools::addWorkloadFlags(parser);
     parser.addOption("threads", "0",
                      "pool threads that measure, draw the samples and "
                      "compute memo keys (0 = all cpus but one)");
     parser.addFlag("no-memoize",
                    "measure duplicate assignments afresh");
-    parser.addOption("fault-rate", "0",
-                     "injected transient failure percent");
-    parser.addOption("fault-garbage", "0",
-                     "injected NaN reading percent");
-    parser.addOption("fault-outlier", "0",
-                     "injected silent outlier percent");
-    parser.addOption("fault-hang", "0",
-                     "injected modeled hang percent");
-    parser.addOption("fault-seed", "1024023",
-                     "fault injection seed");
     parser.addOption("retries", "3",
                      "retry attempts per failed measurement");
 }
@@ -156,6 +124,8 @@ addEngineOptions(OptionParser &parser)
  */
 struct EngineStack
 {
+    /** The retry policy of the resilient layer (--retries). */
+    core::ResilientOptions resilience;
     std::unique_ptr<sim::SimulatedEngine> simulated;
     std::unique_ptr<core::FaultInjectingEngine> faulty;
     std::unique_ptr<core::ParallelEngine> parallel;
@@ -172,47 +142,49 @@ struct EngineStack
 };
 
 /**
+ * Every option is range-checked before the stack is built; a value
+ * out of range exits 2 with the option named.
+ *
+ * @param topo            The chip the workload must fit.
  * @param withUpperLayers false builds only the measurement substrate
  *        (sim + faults + pool); the campaign runner then adds the
  *        resilient/memoizing/metered layers itself, above its
  *        journal.
  */
 EngineStack
-makeEngineStack(const OptionParser &args, bool withUpperLayers = true)
+makeEngineStack(const OptionParser &args, const core::Topology &topo,
+                bool withUpperLayers = true)
 {
-    const long instances = positiveOrDie(args, "engine", "instances");
+    const sim::Benchmark benchmark =
+        tools::benchmarkOrDie("engine", args.get("benchmark"));
+    const std::uint32_t instances =
+        tools::instancesOrDie("engine", args, benchmark, topo);
     const long threads = args.getInt("threads");
-    if (threads < 0) {
+    constexpr unsigned maxThreads = std::numeric_limits<unsigned>::max();
+    if (threads < 0 || threads > maxThreads) {
         std::fprintf(stderr,
-                     "engine: '--threads' must be >= 0 (got %s)\n",
-                     args.get("threads").c_str());
+                     "engine: '--threads' must be in [0, %u] (got %s)\n",
+                     maxThreads, args.get("threads").c_str());
         std::exit(2);
     }
-
-    core::FaultOptions faults;
-    faults.transientRate = args.getDouble("fault-rate") / 100.0;
-    faults.garbageRate = args.getDouble("fault-garbage") / 100.0;
-    faults.outlierRate = args.getDouble("fault-outlier") / 100.0;
-    faults.hangRate = args.getDouble("fault-hang") / 100.0;
-    faults.seed =
-        static_cast<std::uint64_t>(args.getInt("fault-seed"));
-    if (faults.totalRate() > 1.0) {
-        std::fprintf(stderr, "engine: fault rates add up to more "
-                     "than 100%%\n");
-        std::exit(2);
-    }
+    const core::FaultOptions faults =
+        tools::faultOptionsOrDie("engine", args);
+    // The attempt count (retries + 1) must fit its 32 bits.
     const long retries = args.getInt("retries");
-    if (retries < 0) {
+    constexpr std::uint32_t maxRetries =
+        std::numeric_limits<std::uint32_t>::max() - 1;
+    if (retries < 0 || retries > maxRetries) {
         std::fprintf(stderr,
-                     "engine: '--retries' must be >= 0 (got %s)\n",
-                     args.get("retries").c_str());
+                     "engine: '--retries' must be in [0, %u] (got %s)\n",
+                     maxRetries, args.get("retries").c_str());
         std::exit(2);
     }
 
     EngineStack stack;
+    stack.resilience.maxAttempts =
+        static_cast<std::uint32_t>(retries) + 1;
     stack.simulated = std::make_unique<sim::SimulatedEngine>(
-        sim::makeWorkload(parseBenchmark(args.get("benchmark")),
-                          static_cast<std::uint32_t>(instances)));
+        sim::makeWorkload(benchmark, instances));
     core::PerformanceEngine *below = stack.simulated.get();
     if (faults.totalRate() > 0.0) {
         stack.faulty = std::make_unique<core::FaultInjectingEngine>(
@@ -225,11 +197,8 @@ makeEngineStack(const OptionParser &args, bool withUpperLayers = true)
     if (!withUpperLayers)
         return stack;
     if (stack.faulty) {
-        core::ResilientOptions resilience;
-        resilience.maxAttempts =
-            static_cast<std::uint32_t>(retries) + 1;
         stack.resilient = std::make_unique<core::ResilientEngine>(
-            *below, resilience);
+            *below, stack.resilience);
         below = stack.resilient.get();
     }
     if (!args.flag("no-memoize")) {
@@ -316,13 +285,6 @@ printEngineStats(std::FILE *out, const EngineStack &stack,
                      "%.1f fixed-point iterations each\n",
                      static_cast<unsigned long long>(stats.solves),
                      stats.solverIterationsPerSolve());
-        std::fprintf(out,
-                     "scratch workspaces: %12llu reused  "
-                     "(%llu pool-exhausted fallbacks)\n",
-                     static_cast<unsigned long long>(
-                         stats.scratchReuses),
-                     static_cast<unsigned long long>(
-                         stats.scratchFallbacks));
     }
     std::fprintf(out,
                  "modeled time:       %11.1f min "
@@ -444,7 +406,7 @@ cmdBaselines(int argc, char **argv)
     parseOrDie(args, "baselines", argc, argv);
 
     const core::Topology topo = core::Topology::ultraSparcT2();
-    EngineStack stack = makeEngineStack(args);
+    EngineStack stack = makeEngineStack(args, topo);
     const std::uint32_t tasks = stack.sim().workload().taskCount();
 
     const double naive = core::naiveExpectedPerformance(
@@ -457,8 +419,8 @@ cmdBaselines(int argc, char **argv)
     const double packed = stack.top().measure(
         core::packedAssignment(topo, tasks));
     std::printf("%s, %ld instances (%u tasks) on %s\n",
-                sim::benchmarkName(
-                    parseBenchmark(args.get("benchmark"))).c_str(),
+                sim::benchmarkName(tools::benchmarkOrDie(
+                    "baselines", args.get("benchmark"))).c_str(),
                 args.getInt("instances"), tasks,
                 topo.shapeString().c_str());
     std::printf("naive (random mean):  %12.0f PPS\n", naive);
@@ -484,7 +446,7 @@ cmdEstimate(int argc, char **argv)
     const long seed = args.getInt("seed");
     const core::Topology topo = core::Topology::ultraSparcT2();
 
-    EngineStack stack = makeEngineStack(args);
+    EngineStack stack = makeEngineStack(args, topo);
     core::OptimalPerformanceEstimator estimator(
         stack.top(), topo, stack.sim().workload().taskCount(),
         static_cast<std::uint64_t>(seed), {}, !args.flag("cold-fits"),
@@ -650,7 +612,7 @@ cmdIterate(int argc, char **argv)
     // can sit between them and the measurement substrate); the CLI
     // only builds Parallel(Fault?(Sim)).
     EngineStack stack =
-        makeEngineStack(args, /*withUpperLayers=*/false);
+        makeEngineStack(args, topo, /*withUpperLayers=*/false);
 
     core::CampaignOptions campaign;
     campaign.iterative.acceptableLoss = loss / 100.0;
@@ -686,8 +648,7 @@ cmdIterate(int argc, char **argv)
     campaign.maxRounds = static_cast<std::size_t>(maxRounds);
     campaign.memoize = !args.flag("no-memoize");
     campaign.resilient = stack.faulty != nullptr;
-    campaign.resilience.maxAttempts =
-        static_cast<std::uint32_t>(args.getInt("retries")) + 1;
+    campaign.resilience = stack.resilience;
 
     // Identity hash: everything that steers measurement results or
     // the search trajectory (threads deliberately excluded — the

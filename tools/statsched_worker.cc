@@ -57,6 +57,8 @@
 #include "sim/benchmarks.hh"
 #include "sim/engine.hh"
 
+#include "engine_flags.hh"
+
 namespace
 {
 
@@ -82,45 +84,13 @@ writeFrames(const std::vector<std::uint8_t> &bytes)
     return true;
 }
 
-sim::Benchmark
-parseBenchmark(const std::string &name)
-{
-    using sim::Benchmark;
-    if (name == "ipfwd-l1")
-        return Benchmark::IpfwdL1;
-    if (name == "ipfwd-mem")
-        return Benchmark::IpfwdMem;
-    if (name == "analyzer")
-        return Benchmark::PacketAnalyzer;
-    if (name == "aho")
-        return Benchmark::AhoCorasick;
-    if (name == "stateful")
-        return Benchmark::Stateful;
-    if (name == "intadd")
-        return Benchmark::IpfwdIntAdd;
-    if (name == "intmul")
-        return Benchmark::IpfwdIntMul;
-    std::fprintf(stderr, "statsched_worker: unknown benchmark '%s'\n",
-                 name.c_str());
-    std::exit(2);
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
     base::OptionParser args;
-    args.addOption("benchmark", "ipfwd-l1", "workload kernel");
-    args.addOption("instances", "8", "pipeline instances");
-    args.addOption("fault-rate", "0",
-                   "injected transient failure percent");
-    args.addOption("fault-garbage", "0",
-                   "injected NaN reading percent");
-    args.addOption("fault-outlier", "0",
-                   "injected silent outlier percent");
-    args.addOption("fault-hang", "0", "injected modeled hang percent");
-    args.addOption("fault-seed", "1024023", "fault injection seed");
+    tools::addWorkloadFlags(args);
     args.addOption("config-hash", "0",
                    "coordinator's engine-configuration fingerprint, "
                    "echoed in the Hello");
@@ -134,31 +104,19 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const long instances = args.getInt("instances");
-    if (instances <= 0) {
-        std::fprintf(stderr,
-                     "statsched_worker: '--instances' must be "
-                     "positive\n");
-        return 2;
-    }
-    core::FaultOptions faults;
-    faults.transientRate = args.getDouble("fault-rate") / 100.0;
-    faults.garbageRate = args.getDouble("fault-garbage") / 100.0;
-    faults.outlierRate = args.getDouble("fault-outlier") / 100.0;
-    faults.hangRate = args.getDouble("fault-hang") / 100.0;
-    faults.seed =
-        static_cast<std::uint64_t>(args.getInt("fault-seed"));
-    if (faults.totalRate() > 1.0) {
-        std::fprintf(stderr, "statsched_worker: fault rates add up "
-                     "to more than 100%%\n");
-        return 2;
-    }
+    const char *const who = "statsched_worker";
+    const core::Topology topo = core::Topology::ultraSparcT2();
+    const sim::Benchmark benchmark =
+        tools::benchmarkOrDie(who, args.get("benchmark"));
+    const std::uint32_t instances =
+        tools::instancesOrDie(who, args, benchmark, topo);
+    const core::FaultOptions faults =
+        tools::faultOptionsOrDie(who, args);
     const std::uint64_t configHash =
         std::strtoull(args.get("config-hash").c_str(), nullptr, 10);
 
     sim::SimulatedEngine simulated(
-        sim::makeWorkload(parseBenchmark(args.get("benchmark")),
-                          static_cast<std::uint32_t>(instances)));
+        sim::makeWorkload(benchmark, instances));
     std::unique_ptr<core::FaultInjectingEngine> faulty;
     core::PerformanceEngine *engine = &simulated;
     if (faults.totalRate() > 0.0) {
@@ -173,7 +131,6 @@ main(int argc, char **argv)
         engine = garbage.get();
     }
 
-    const core::Topology topo = core::Topology::ultraSparcT2();
     core::ShardWorker worker(
         *engine, topo, simulated.workload().taskCount(), configHash);
 
