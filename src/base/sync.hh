@@ -49,6 +49,17 @@
 
 #include "base/check.hh"
 
+#if defined(__SANITIZE_THREAD__) // GCC
+#define STATSCHED_TSAN 1
+#elif defined(__has_feature) // Clang
+#if __has_feature(thread_sanitizer)
+#define STATSCHED_TSAN 1
+#endif
+#endif
+#ifdef STATSCHED_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #if STATSCHED_CHECK_LEVEL >= 1
 #include <string>
 #include <unordered_map>
@@ -317,14 +328,17 @@ class SCHED_CAPABILITY("mutex") Mutex
     {
     }
 
-#if STATSCHED_CHECK_LEVEL >= 1
     ~Mutex()
     {
+#if STATSCHED_CHECK_LEVEL >= 1
         detail::LockOrderGraph::instance().unregisterNode(id_);
-    }
-#else
-    ~Mutex() = default;
 #endif
+#ifdef STATSCHED_TSAN
+        // libstdc++'s std::mutex never calls pthread_mutex_destroy, so
+        // TSan would pass this lock order on to a mutex reusing m_.
+        __tsan_mutex_destroy(&m_, 0);
+#endif
+    }
 
     Mutex(const Mutex &) = delete;
     Mutex &operator=(const Mutex &) = delete;

@@ -120,14 +120,6 @@ Assignment::tasksByPipeInto(std::vector<std::uint32_t> &offsets,
               [this](TaskId t) { return pipeOf(t); }, offsets, flat);
 }
 
-void
-Assignment::tasksByCoreInto(std::vector<std::uint32_t> &offsets,
-                            std::vector<TaskId> &flat) const
-{
-    groupInto(contexts_.size(), topology_.cores,
-              [this](TaskId t) { return coreOf(t); }, offsets, flat);
-}
-
 std::string
 Assignment::canonicalKey() const
 {

@@ -99,10 +99,6 @@ class Assignment
     void tasksByPipeInto(std::vector<std::uint32_t> &offsets,
                          std::vector<TaskId> &flat) const;
 
-    /** CSR grouping by core; see tasksByPipeInto(). */
-    void tasksByCoreInto(std::vector<std::uint32_t> &offsets,
-                         std::vector<TaskId> &flat) const;
-
     /**
      * Canonical key of the equivalence class under hardware symmetry:
      * two assignments get equal keys iff one can be transformed into

@@ -18,6 +18,9 @@ namespace core
 namespace
 {
 
+/** Batches a round may draw to replace failed measurements. */
+constexpr std::size_t kMaxTopUpRounds = 3;
+
 /**
  * Step 3's comparison for one estimate: the loss target (the UPB
  * point estimate, or the upper end of its interval under
@@ -100,17 +103,14 @@ iterativeAssignmentSearch(PerformanceEngine &engine,
         // Ndelta and slow convergence. Bounded rounds keep a
         // mostly-dead engine from retrying forever.
         std::size_t top_ups = 0;
-        if (options.topUpFailedMeasurements) {
-            for (std::size_t topUp = 0;
-                 topUp < options.maxTopUpRounds; ++topUp) {
-                const std::size_t gained =
-                    estimator.sampleSize() - valid_before;
-                if (gained >= to_draw)
-                    break;
-                const std::size_t deficit = to_draw - gained;
-                top_ups += deficit;
-                result.final = estimator.extendPoint(deficit);
-            }
+        for (std::size_t topUp = 0; topUp < kMaxTopUpRounds; ++topUp) {
+            const std::size_t gained =
+                estimator.sampleSize() - valid_before;
+            if (gained >= to_draw)
+                break;
+            const std::size_t deficit = to_draw - gained;
+            top_ups += deficit;
+            result.final = estimator.extendPoint(deficit);
         }
 
         result.totalSampled = estimator.sampleSize();

@@ -19,7 +19,7 @@
  *
  * Failure awareness: measurements that fail (see the engine failure
  * channel in performance_engine.hh) are excluded from the sample, and
- * by default each round tops itself back up with replacement draws so
+ * each round tops itself back up with up to three replacement batches so
  * Ninit / Ndelta count valid points. A round in which *every* attempt
  * fails aborts the loop with IterativeResult::abortReason instead of
  * spinning forever; the safety cap counts attempts, so a mostly-broken
@@ -113,15 +113,6 @@ struct IterativeOptions
      * Step 2 bit-identical to from-scratch estimation.
      */
     bool warmStartFits = true;
-    /**
-     * When measurements fail (engine failure channel), draw
-     * replacements so every round still contributes its full quota of
-     * valid points — Ninit / Ndelta count *valid* measurements, not
-     * attempts. Disable to keep the paper's fixed draw counts.
-     */
-    bool topUpFailedMeasurements = true;
-    /** Bound on replacement rounds per iteration when topping up. */
-    std::size_t maxTopUpRounds = 3;
     /**
      * Probed at the top of every round — before the round's
      * measurements — with the zero-based round index. Returning a

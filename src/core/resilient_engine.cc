@@ -53,67 +53,6 @@ ResilientEngine::ResilientEngine(PerformanceEngine &inner,
 }
 
 void
-ResilientEngine::runWithRetries(std::span<const Assignment> batch,
-                                std::span<MeasurementOutcome> out)
-{
-    // Indices still lacking a valid reading, in ascending order —
-    // retry sub-batches are therefore deterministic, and so are the
-    // measurement indices the layers below reserve for them.
-    std::vector<std::size_t> pending(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        pending[i] = i;
-
-    double backoff = 0.0;
-    double wait = options_.backoffBaseSeconds;
-    for (std::uint32_t attempt = 1;
-         attempt <= options_.maxAttempts && !pending.empty();
-         ++attempt) {
-        std::vector<Assignment> sub;
-        sub.reserve(pending.size());
-        for (const std::size_t idx : pending)
-            sub.push_back(batch[idx]);
-        std::vector<MeasurementOutcome> outcomes(sub.size());
-        try {
-            inner_.measureBatchOutcome(sub, outcomes);
-        } catch (const std::exception &) {
-            // A contract violation (or any error) below becomes a
-            // structured Errored outcome for the whole sub-batch;
-            // the normal retry/quarantine ladder takes it from here.
-            for (auto &outcome : outcomes)
-                outcome = MeasurementOutcome::failure(
-                    MeasureStatus::Errored);
-        }
-
-        std::vector<std::size_t> still_failed;
-        for (std::size_t k = 0; k < pending.size(); ++k) {
-            MeasurementOutcome outcome = outcomes[k];
-            outcome.attempts = attempt;
-            out[pending[k]] = outcome;
-            if (!outcome.ok())
-                still_failed.push_back(pending[k]);
-        }
-        pending = std::move(still_failed);
-
-        if (!pending.empty() && attempt < options_.maxAttempts) {
-            {
-                base::MutexLock lock(mutex_);
-                retries_ += pending.size();
-            }
-            backoff += static_cast<double>(pending.size()) * wait;
-            wait = std::min(wait * options_.backoffFactor,
-                            options_.backoffCapSeconds);
-        }
-    }
-
-    for (const std::size_t idx : pending)
-        recordExhaustion(batch[idx]);
-    if (backoff > 0.0) {
-        base::MutexLock lock(mutex_);
-        backoffSeconds_ += backoff;
-    }
-}
-
-void
 ResilientEngine::screenOutliers(std::span<const Assignment> batch,
                                 std::span<MeasurementOutcome> out)
 {
@@ -196,13 +135,14 @@ ResilientEngine::measureBatchOutcome(std::span<const Assignment> batch,
 {
     SCHED_REQUIRE(batch.size() == out.size(),
                   "batch/result size mismatch");
-    if (batch.empty())
-        return;
 
-    // Quarantined classes are rejected before any measurement. While
-    // nothing is quarantined no item needs its canonical key.
-    std::vector<std::size_t> live;
-    live.reserve(batch.size());
+    // Indices still lacking a valid reading, in ascending order, so
+    // retry sub-batches are deterministic, and so are the measurement
+    // indices the layers below reserve for them. Quarantined classes
+    // are rejected before any measurement; while nothing is
+    // quarantined no item needs its canonical key.
+    std::vector<std::size_t> pending;
+    pending.reserve(batch.size());
     {
         base::MutexLock lock(mutex_);
         for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -211,28 +151,69 @@ ResilientEngine::measureBatchOutcome(std::span<const Assignment> batch,
                 out[i] = MeasurementOutcome::failure(
                     MeasureStatus::Quarantined, 0);
             } else {
-                live.push_back(i);
+                pending.push_back(i);
             }
         }
     }
-    if (live.empty())
-        return;
 
-    if (live.size() == batch.size()) {
-        runWithRetries(batch, out);
-        screenOutliers(batch, out);
-        return;
+    double backoff = 0.0;
+    double wait = options_.backoffBaseSeconds;
+    std::vector<Assignment> sub;
+    std::vector<MeasurementOutcome> outcomes;
+    for (std::uint32_t attempt = 1;
+         attempt <= options_.maxAttempts && !pending.empty();
+         ++attempt) {
+        // While every item is pending, the caller's batch is measured
+        // in place.
+        std::span<const Assignment> items = batch;
+        std::span<MeasurementOutcome> readings = out;
+        if (pending.size() != batch.size()) {
+            sub.clear();
+            for (const std::size_t idx : pending)
+                sub.push_back(batch[idx]);
+            outcomes.assign(sub.size(), MeasurementOutcome{});
+            items = sub;
+            readings = outcomes;
+        }
+        try {
+            inner_.measureBatchOutcome(items, readings);
+        } catch (const std::exception &) {
+            // A contract violation (or any error) below becomes a
+            // structured Errored outcome for the whole sub-batch;
+            // the normal retry/quarantine ladder takes it from here.
+            for (auto &outcome : readings)
+                outcome = MeasurementOutcome::failure(
+                    MeasureStatus::Errored);
+        }
+
+        std::size_t failed = 0;
+        for (std::size_t k = 0; k < pending.size(); ++k) {
+            MeasurementOutcome outcome = readings[k];
+            outcome.attempts = attempt;
+            out[pending[k]] = outcome;
+            if (!outcome.ok())
+                pending[failed++] = pending[k];
+        }
+        pending.resize(failed);
+
+        if (!pending.empty() && attempt < options_.maxAttempts) {
+            {
+                base::MutexLock lock(mutex_);
+                retries_ += pending.size();
+            }
+            backoff += static_cast<double>(pending.size()) * wait;
+            wait = std::min(wait * options_.backoffFactor,
+                            options_.backoffCapSeconds);
+        }
     }
 
-    std::vector<Assignment> sub;
-    sub.reserve(live.size());
-    for (const std::size_t idx : live)
-        sub.push_back(batch[idx]);
-    std::vector<MeasurementOutcome> outcomes(sub.size());
-    runWithRetries(sub, outcomes);
-    screenOutliers(sub, outcomes);
-    for (std::size_t k = 0; k < live.size(); ++k)
-        out[live[k]] = outcomes[k];
+    for (const std::size_t idx : pending)
+        recordExhaustion(batch[idx]);
+    if (backoff > 0.0) {
+        base::MutexLock lock(mutex_);
+        backoffSeconds_ += backoff;
+    }
+    screenOutliers(batch, out);
 }
 
 void

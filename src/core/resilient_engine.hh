@@ -130,11 +130,6 @@ class ResilientEngine : public EngineDecorator
     }
 
   private:
-    /** Measures `batch` with retry rounds; `out` same size. Returns
-     *  the indices that ultimately failed. */
-    void runWithRetries(std::span<const Assignment> batch,
-                        std::span<MeasurementOutcome> out);
-
     /** Median-of-k screening pass over a measured batch. */
     void screenOutliers(std::span<const Assignment> batch,
                         std::span<MeasurementOutcome> out);

@@ -184,13 +184,6 @@ class ContentionSolver
     void solveInto(const core::Assignment &assignment,
                    Scratch &scratch, ContentionResult &result) const;
 
-    /**
-     * @return the chip-wide L2 miss probability. The L2 working set
-     * spans *all* tasks regardless of placement, so this is a
-     * constant of the workload, precomputed at construction.
-     */
-    double l2MissProbability() const { return l2MissProb_; }
-
   private:
     ChipConfig config_;
     std::vector<TaskProfile> tasks_;

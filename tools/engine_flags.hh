@@ -5,11 +5,12 @@
  *
  * The CLI hands --benchmark, --instances and the --fault-* flags on to
  * every shard worker it spawns, so both programs declare and read them
- * here, with the same checks. A value out of range exits 2 with a
- * message naming the option, before anything is built from it or
- * narrowed: a contract violation deep in the sampler or the fault
- * injector would abort instead, and a narrowed value would run a
- * campaign nobody asked for.
+ * here, and report a refused value the same way (parseOrDie). The
+ * parser refuses a value outside its option's range; the checks here
+ * relate options (--instances to the benchmark and the chip, the fault
+ * rates to their total) and exit 2 before anything is built from a
+ * value: a contract violation deep in the sampler or the fault
+ * injector would abort instead.
  */
 
 #ifndef STATSCHED_TOOLS_ENGINE_FLAGS_HH
@@ -30,22 +31,34 @@ namespace statsched
 namespace tools
 {
 
+/** Parses argv[first..argc) or exits 2, printing the reason and the
+ *  usage text after `who`. */
+inline void
+parseOrDie(const char *who, base::OptionParser &parser, int argc,
+           char **argv, int first)
+{
+    if (!parser.parse(argc, argv, first)) {
+        std::fprintf(stderr, "%s: %s\noptions:\n%s", who,
+                     parser.error().c_str(), parser.usage().c_str());
+        std::exit(2);
+    }
+}
+
 /** Declares --benchmark, --instances and the --fault-* options. */
 inline void
 addWorkloadFlags(base::OptionParser &parser)
 {
     parser.addOption("benchmark", "ipfwd-l1", "workload kernel");
-    parser.addOption("instances", "8", "pipeline instances");
-    parser.addOption("fault-rate", "0",
-                     "injected transient failure percent");
-    parser.addOption("fault-garbage", "0",
-                     "injected NaN reading percent");
-    parser.addOption("fault-outlier", "0",
-                     "injected silent outlier percent");
-    parser.addOption("fault-hang", "0",
-                     "injected modeled hang percent");
-    parser.addOption("fault-seed", "1024023",
-                     "fault injection seed");
+    parser.addInt("instances", "8", "pipeline instances", 1);
+    parser.addReal("fault-rate", "0",
+                   "injected transient failure percent", 0, 100);
+    parser.addReal("fault-garbage", "0", "injected NaN reading percent",
+                   0, 100);
+    parser.addReal("fault-outlier", "0", "injected silent outlier percent",
+                   0, 100);
+    parser.addReal("fault-hang", "0", "injected modeled hang percent", 0,
+                   100);
+    parser.addInt("fault-seed", "1024023", "fault injection seed");
 }
 
 /** @return the benchmark called `name`; exits 2 on any other name.
@@ -75,9 +88,9 @@ benchmarkOrDie(const char *who, const std::string &name)
 }
 
 /**
- * @return --instances of `benchmark`: at least one, and few enough
- *         that every task of the workload has a context of its own
- *         on `topo`. Exits 2 otherwise, before the workload is built.
+ * @return --instances of `benchmark`: few enough that every task of
+ *         the workload has a context of its own on `topo`. Exits 2
+ *         otherwise, before the workload is built.
  */
 inline std::uint32_t
 instancesOrDie(const char *who, const base::OptionParser &args,
@@ -87,7 +100,7 @@ instancesOrDie(const char *who, const base::OptionParser &args,
     const std::uint32_t perInstance =
         sim::makeWorkload(benchmark, 1).taskCount();
     const long most = topo.contexts() / perInstance;
-    if (instances < 1 || instances > most) {
+    if (instances > most) {
         std::fprintf(stderr,
                      "%s: '--instances' must be in [1, %ld]: %u tasks "
                      "each on %u contexts (got %s)\n",
@@ -99,37 +112,17 @@ instancesOrDie(const char *who, const base::OptionParser &args,
 }
 
 /**
- * @return the --fault-* options. Each rate is a percentage in
- *         [0, 100], and together they may not pass 100; exits 2
- *         otherwise.
+ * @return the --fault-* options, whose rates may not add up to more
+ *         than 100 percent; exits 2 otherwise.
  */
 inline core::FaultOptions
 faultOptionsOrDie(const char *who, const base::OptionParser &args)
 {
-    struct Rate
-    {
-        const char *name;
-        double core::FaultOptions::*field;
-    };
-    const Rate rates[] = {
-        {"fault-rate", &core::FaultOptions::transientRate},
-        {"fault-garbage", &core::FaultOptions::garbageRate},
-        {"fault-outlier", &core::FaultOptions::outlierRate},
-        {"fault-hang", &core::FaultOptions::hangRate},
-    };
     core::FaultOptions faults;
-    for (const Rate &rate : rates) {
-        const double percent = args.getDouble(rate.name);
-        // Written so that NaN fails too.
-        if (!(percent >= 0.0 && percent <= 100.0)) {
-            std::fprintf(stderr,
-                         "%s: '--%s' must be a percent in [0, 100] "
-                         "(got %s)\n",
-                         who, rate.name, args.get(rate.name).c_str());
-            std::exit(2);
-        }
-        faults.*rate.field = percent / 100.0;
-    }
+    faults.transientRate = args.getDouble("fault-rate") / 100.0;
+    faults.garbageRate = args.getDouble("fault-garbage") / 100.0;
+    faults.outlierRate = args.getDouble("fault-outlier") / 100.0;
+    faults.hangRate = args.getDouble("fault-hang") / 100.0;
     faults.seed =
         static_cast<std::uint64_t>(args.getInt("fault-seed"));
     if (faults.totalRate() > 1.0) {

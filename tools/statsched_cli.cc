@@ -53,51 +53,36 @@ namespace
 using namespace statsched;
 using base::OptionParser;
 
-core::Topology
-parseTopology(const std::string &spec)
-{
-    // "CxPxS", e.g. "8x2x4".
-    unsigned c = 8;
-    unsigned p = 2;
-    unsigned s = 4;
-    if (std::sscanf(spec.c_str(), "%ux%ux%u", &c, &p, &s) != 3) {
-        std::fprintf(stderr, "bad topology '%s' (want CxPxS)\n",
-                     spec.c_str());
-        std::exit(2);
-    }
-    return core::Topology{c, p, s};
-}
-
-/** Parses the command's options or exits with its usage text. */
-void
-parseOrDie(OptionParser &parser, const std::string &command, int argc,
-           char **argv)
-{
-    if (!parser.parse(argc, argv, 2)) {
-        std::fprintf(stderr, "%s: %s\noptions:\n%s", command.c_str(),
-                     parser.error().c_str(), parser.usage().c_str());
-        std::exit(2);
-    }
-}
-
 /**
- * Reads a numeric option that must be strictly positive (sample
- * sizes, task counts); exits with a parse-style error otherwise, so
- * "--samples 0" fails at the command line instead of deep in the
- * estimator.
+ * @return --topology "CxPxS": three positive integers whose product,
+ *         the context count, fits in 32 bits and is at least --tasks.
+ *         Exits 2 otherwise, naming both options.
  */
-long
-positiveOrDie(const OptionParser &parser, const std::string &command,
-              const std::string &name)
+core::Topology
+topologyOrDie(const char *command, const OptionParser &args)
 {
-    const long value = parser.getInt(name);
-    if (value <= 0) {
-        std::fprintf(stderr, "%s: '--%s' must be positive (got %s)\n",
-                     command.c_str(), name.c_str(),
-                     parser.get(name).c_str());
+    const std::string spec = args.get("topology");
+    const std::size_t x1 = spec.find('x');
+    const std::size_t x2 = spec.find('x', x1 + 1);
+    core::Topology topo;
+    const bool parsed = x2 != std::string::npos &&
+        base::parseNumber(spec.substr(0, x1), topo.cores) &&
+        base::parseNumber(spec.substr(x1 + 1, x2 - x1 - 1),
+                          topo.pipesPerCore) &&
+        base::parseNumber(spec.substr(x2 + 1), topo.strandsPerPipe);
+    // Exact in a double up to 2^53; 0, below any --tasks, if a factor is.
+    const double contexts = static_cast<double>(topo.cores) *
+        topo.pipesPerCore * topo.strandsPerPipe;
+    if (!parsed || contexts < static_cast<double>(args.getInt("tasks")) ||
+        contexts > std::numeric_limits<std::uint32_t>::max()) {
+        std::fprintf(stderr,
+                     "%s: '--topology' must be CxPxS, positive integers "
+                     "whose product fits in 32 bits and is at least "
+                     "'--tasks' (got '%s' and %s)\n",
+                     command, spec.c_str(), args.get("tasks").c_str());
         std::exit(2);
     }
-    return value;
+    return topo;
 }
 
 /** Declares the options shared by every measurement command. */
@@ -105,13 +90,15 @@ void
 addEngineOptions(OptionParser &parser)
 {
     tools::addWorkloadFlags(parser);
-    parser.addOption("threads", "0",
-                     "pool threads that measure, draw the samples and "
-                     "compute memo keys (0 = all cpus but one)");
+    parser.addInt("threads", "0",
+                  "pool threads that measure, draw the samples and "
+                  "compute memo keys (0 = all cpus but one)",
+                  0, std::numeric_limits<unsigned>::max());
     parser.addFlag("no-memoize",
                    "measure duplicate assignments afresh");
-    parser.addOption("retries", "3",
-                     "retry attempts per failed measurement");
+    // The attempt count, retries + 1, must fit its 32 bits.
+    parser.addInt("retries", "3", "retry attempts per failed measurement",
+                  0, std::numeric_limits<std::uint32_t>::max() - 1);
 }
 
 /**
@@ -142,9 +129,6 @@ struct EngineStack
 };
 
 /**
- * Every option is range-checked before the stack is built; a value
- * out of range exits 2 with the option named.
- *
  * @param topo            The chip the workload must fit.
  * @param withUpperLayers false builds only the measurement substrate
  *        (sim + faults + pool); the campaign runner then adds the
@@ -159,30 +143,12 @@ makeEngineStack(const OptionParser &args, const core::Topology &topo,
         tools::benchmarkOrDie("engine", args.get("benchmark"));
     const std::uint32_t instances =
         tools::instancesOrDie("engine", args, benchmark, topo);
-    const long threads = args.getInt("threads");
-    constexpr unsigned maxThreads = std::numeric_limits<unsigned>::max();
-    if (threads < 0 || threads > maxThreads) {
-        std::fprintf(stderr,
-                     "engine: '--threads' must be in [0, %u] (got %s)\n",
-                     maxThreads, args.get("threads").c_str());
-        std::exit(2);
-    }
     const core::FaultOptions faults =
         tools::faultOptionsOrDie("engine", args);
-    // The attempt count (retries + 1) must fit its 32 bits.
-    const long retries = args.getInt("retries");
-    constexpr std::uint32_t maxRetries =
-        std::numeric_limits<std::uint32_t>::max() - 1;
-    if (retries < 0 || retries > maxRetries) {
-        std::fprintf(stderr,
-                     "engine: '--retries' must be in [0, %u] (got %s)\n",
-                     maxRetries, args.get("retries").c_str());
-        std::exit(2);
-    }
 
     EngineStack stack;
     stack.resilience.maxAttempts =
-        static_cast<std::uint32_t>(retries) + 1;
+        static_cast<std::uint32_t>(args.getInt("retries")) + 1;
     stack.simulated = std::make_unique<sim::SimulatedEngine>(
         sim::makeWorkload(benchmark, instances));
     core::PerformanceEngine *below = stack.simulated.get();
@@ -192,7 +158,7 @@ makeEngineStack(const OptionParser &args, const core::Topology &topo,
         below = stack.faulty.get();
     }
     stack.parallel = std::make_unique<core::ParallelEngine>(
-        *below, static_cast<unsigned>(threads));
+        *below, static_cast<unsigned>(args.getInt("threads")));
     below = stack.parallel.get();
     if (!withUpperLayers)
         return stack;
@@ -305,21 +271,14 @@ cmdCount(int argc, char **argv)
 {
     OptionParser args;
     args.addOption("topology", "8x2x4", "processor shape CxPxS");
-    args.addOption("tasks", "24", "workload size");
-    parseOrDie(args, "count", argc, argv);
+    args.addInt("tasks", "24", "workload size", 1);
+    tools::parseOrDie("count", args, argc, argv, 2);
 
-    const core::Topology topo = parseTopology(args.get("topology"));
-    const long tasks = args.getInt("tasks");
-    if (tasks < 1 ||
-        tasks > static_cast<long>(topo.contexts())) {
-        std::fprintf(stderr, "tasks out of range for %s\n",
-                     topo.shapeString().c_str());
-        return 2;
-    }
+    const core::Topology topo = topologyOrDie("count", args);
+    const auto tasks = static_cast<std::uint32_t>(args.getInt("tasks"));
     const core::AssignmentSpace space(topo);
-    const auto count =
-        space.countAssignments(static_cast<std::uint32_t>(tasks));
-    std::printf("topology %s (%u contexts), %ld tasks\n",
+    const auto count = space.countAssignments(tasks);
+    std::printf("topology %s (%u contexts), %u tasks\n",
                 topo.shapeString().c_str(), topo.contexts(), tasks);
     std::printf("assignments: %s", count.toScientific(4).c_str());
     if (count.fitsUint64())
@@ -337,10 +296,12 @@ int
 cmdCapture(int argc, char **argv)
 {
     OptionParser args;
-    args.addOption("percent", "1.0", "top-percent band");
-    args.addOption("target", "0.99", "capture probability wanted");
-    args.addOption("samples", "0", "draws (0: solve for draws)");
-    parseOrDie(args, "capture", argc, argv);
+    args.addReal("percent", "1.0", "top-percent band", 0, 100,
+                 OptionParser::Open);
+    args.addReal("target", "0.99", "capture probability wanted", 0, 1,
+                 OptionParser::Open);
+    args.addInt("samples", "0", "draws (0: solve for draws)", 0);
+    tools::parseOrDie("capture", args, argc, argv, 2);
 
     const double percent = args.getDouble("percent");
     const double target = args.getDouble("target");
@@ -364,21 +325,15 @@ cmdEnumerate(int argc, char **argv)
 {
     OptionParser args;
     args.addOption("topology", "8x2x4", "processor shape CxPxS");
-    args.addOption("tasks", "3", "workload size (1..8)");
-    args.addOption("limit", "50", "listing length cap");
-    parseOrDie(args, "enumerate", argc, argv);
+    args.addInt("tasks", "3",
+                "workload size (the space grows as Table 1 shows)", 1, 8);
+    args.addInt("limit", "50", "listing length cap", 0);
+    tools::parseOrDie("enumerate", args, argc, argv, 2);
 
-    const core::Topology topo = parseTopology(args.get("topology"));
-    const long tasks = args.getInt("tasks");
+    const core::Topology topo = topologyOrDie("enumerate", args);
     const long limit = args.getInt("limit");
-    if (tasks < 1 || tasks > 8) {
-        std::fprintf(stderr,
-                     "enumerate supports 1..8 tasks (space grows "
-                     "as Table 1 shows)\n");
-        return 2;
-    }
     core::AssignmentEnumerator enumerator(
-        topo, static_cast<std::uint32_t>(tasks));
+        topo, static_cast<std::uint32_t>(args.getInt("tasks")));
     long shown = 0;
     const std::uint64_t total = enumerator.forEach(
         [&shown, limit](const core::Assignment &a) {
@@ -401,9 +356,9 @@ cmdBaselines(int argc, char **argv)
 {
     OptionParser args;
     addEngineOptions(args);
-    args.addOption("seed", "1", "sampler seed");
-    args.addOption("draws", "1000", "random draws for the mean");
-    parseOrDie(args, "baselines", argc, argv);
+    args.addInt("seed", "1", "sampler seed");
+    args.addInt("draws", "1000", "random draws for the mean", 1);
+    tools::parseOrDie("baselines", args, argc, argv, 2);
 
     const core::Topology topo = core::Topology::ultraSparcT2();
     EngineStack stack = makeEngineStack(args, topo);
@@ -411,8 +366,7 @@ cmdBaselines(int argc, char **argv)
 
     const double naive = core::naiveExpectedPerformance(
         stack.top(), topo, tasks,
-        static_cast<std::size_t>(
-            positiveOrDie(args, "baselines", "draws")),
+        static_cast<std::size_t>(args.getInt("draws")),
         static_cast<std::uint64_t>(args.getInt("seed")));
     const double linux_like = stack.top().measure(
         core::linuxLikeAssignment(topo, tasks));
@@ -435,14 +389,14 @@ cmdEstimate(int argc, char **argv)
 {
     OptionParser args;
     addEngineOptions(args);
-    args.addOption("samples", "2000", "random assignments to draw");
-    args.addOption("seed", "42", "sampler seed");
+    args.addInt("samples", "2000", "random assignments to draw", 1);
+    args.addInt("seed", "42", "sampler seed");
     args.addFlag("cold-fits",
                  "restart every GPD fit from the moment estimate "
                  "(bit-identical to from-scratch estimation)");
-    parseOrDie(args, "estimate", argc, argv);
+    tools::parseOrDie("estimate", args, argc, argv, 2);
 
-    const long samples = positiveOrDie(args, "estimate", "samples");
+    const long samples = args.getInt("samples");
     const long seed = args.getInt("seed");
     const core::Topology topo = core::Topology::ultraSparcT2();
 
@@ -513,11 +467,12 @@ cmdIterate(int argc, char **argv)
 {
     OptionParser args;
     addEngineOptions(args);
-    args.addOption("loss", "2.5", "acceptable loss percent");
-    args.addOption("seed", "7", "sampler seed");
-    args.addOption("ninit", "1000", "initial sample size");
-    args.addOption("ndelta", "100", "per-iteration increment");
-    args.addOption("max", "20000", "total sample cap");
+    args.addReal("loss", "2.5", "acceptable loss percent", 0, 100,
+                 OptionParser::Open);
+    args.addInt("seed", "7", "sampler seed");
+    args.addInt("ninit", "1000", "initial sample size", 1);
+    args.addInt("ndelta", "100", "per-iteration increment", 1);
+    args.addInt("max", "20000", "total sample cap", 1);
     args.addFlag("confident",
                  "stop against the upper CI bound of the UPB (builds "
                  "the CI every round: about twice the estimator's "
@@ -532,28 +487,29 @@ cmdIterate(int argc, char **argv)
     args.addOption("journal-on-error", "abort",
                    "journal media failure policy: abort | degrade "
                    "(drop to memory-only recording)");
-    args.addOption("journal-fault-at", "0",
-                   "chaos: fail journal writes after N bytes "
-                   "(0 = off)");
-    args.addOption("audit-fraction", "0",
-                   "fraction of sharded measurements duplicated to a "
-                   "second worker for Byzantine auditing (0..1)");
-    args.addOption("chaos-garbage-shard", "-1",
-                   "chaos: give this shard slot a value-corrupting "
-                   "worker (-1 = none)");
-    args.addOption("deadline-s", "0",
-                   "wall-clock budget in seconds (0 = none)");
-    args.addOption("max-measurements", "0",
-                   "measurement budget (0 = none)");
-    args.addOption("max-rounds", "0", "round budget (0 = none)");
-    args.addOption("shards", "0",
-                   "measurement worker processes (0 = in-process)");
-    args.addOption("shard-deadline-s", "30",
-                   "per-request worker deadline in seconds");
+    args.addInt("journal-fault-at", "0",
+                "chaos: fail journal writes after N bytes (0 = off)", 0);
+    args.addReal("audit-fraction", "0",
+                 "fraction of sharded measurements duplicated to a "
+                 "second worker for Byzantine auditing", 0, 1);
+    args.addInt("chaos-garbage-shard", "-1",
+                "chaos: give this shard slot a value-corrupting "
+                "worker (-1 = none)", -1);
+    args.addReal("deadline-s", "0",
+                 "wall-clock budget in seconds (0 = none)", 0);
+    args.addInt("max-measurements", "0", "measurement budget (0 = none)",
+                0);
+    args.addInt("max-rounds", "0", "round budget (0 = none)", 0);
+    args.addInt("shards", "0",
+                "measurement worker processes (0 = in-process)", 0);
+    // A worker's send stall is bounded by its milliseconds, an int.
+    args.addReal("shard-deadline-s", "30",
+                 "per-request worker deadline in seconds", 0, 2147483,
+                 OptionParser::Open);
     args.addOption("worker", "",
                    "worker binary (default: statsched_worker next "
                    "to this binary)");
-    parseOrDie(args, "iterate", argc, argv);
+    tools::parseOrDie("iterate", args, argc, argv, 2);
 
     const double loss = args.getDouble("loss");
     const core::Topology topo = core::Topology::ultraSparcT2();
@@ -563,20 +519,8 @@ cmdIterate(int argc, char **argv)
                      "iterate: '--resume' requires '--journal'\n");
         return 2;
     }
-    const double deadline = args.getDouble("deadline-s");
-    const long maxMeasurements = args.getInt("max-measurements");
-    const long maxRounds = args.getInt("max-rounds");
-    if (deadline < 0 || maxMeasurements < 0 || maxRounds < 0) {
-        std::fprintf(stderr, "iterate: budgets must be >= 0\n");
-        return 2;
-    }
     const long shards = args.getInt("shards");
     const double shardDeadline = args.getDouble("shard-deadline-s");
-    if (shards < 0 || shardDeadline <= 0) {
-        std::fprintf(stderr, "iterate: '--shards' must be >= 0 and "
-                     "'--shard-deadline-s' positive\n");
-        return 2;
-    }
     const std::string onErrorName = args.get("journal-on-error");
     core::JournalErrorPolicy onError;
     if (onErrorName == "abort") {
@@ -590,17 +534,6 @@ cmdIterate(int argc, char **argv)
         return 2;
     }
     const long journalFaultAt = args.getInt("journal-fault-at");
-    if (journalFaultAt < 0) {
-        std::fprintf(stderr,
-                     "iterate: '--journal-fault-at' must be >= 0\n");
-        return 2;
-    }
-    const double auditFraction = args.getDouble("audit-fraction");
-    if (auditFraction < 0.0 || auditFraction > 1.0) {
-        std::fprintf(stderr, "iterate: '--audit-fraction' must be "
-                     "in [0, 1]\n");
-        return 2;
-    }
     const long garbageShard = args.getInt("chaos-garbage-shard");
     if (garbageShard >= shards) {
         std::fprintf(stderr, "iterate: '--chaos-garbage-shard' must "
@@ -616,12 +549,12 @@ cmdIterate(int argc, char **argv)
 
     core::CampaignOptions campaign;
     campaign.iterative.acceptableLoss = loss / 100.0;
-    campaign.iterative.initialSample = static_cast<std::size_t>(
-        positiveOrDie(args, "iterate", "ninit"));
-    campaign.iterative.incrementSample = static_cast<std::size_t>(
-        positiveOrDie(args, "iterate", "ndelta"));
-    campaign.iterative.maxSample = static_cast<std::size_t>(
-        positiveOrDie(args, "iterate", "max"));
+    campaign.iterative.initialSample =
+        static_cast<std::size_t>(args.getInt("ninit"));
+    campaign.iterative.incrementSample =
+        static_cast<std::size_t>(args.getInt("ndelta"));
+    campaign.iterative.maxSample =
+        static_cast<std::size_t>(args.getInt("max"));
     campaign.iterative.useUpperConfidenceBound =
         args.flag("confident");
     campaign.iterative.warmStartFits = !args.flag("cold-fits");
@@ -642,10 +575,11 @@ cmdIterate(int argc, char **argv)
         campaign.journalSinkFactory =
             base::io::faultInjectingFileSinkFactory(std::move(plan));
     }
-    campaign.deadlineSeconds = deadline;
+    campaign.deadlineSeconds = args.getDouble("deadline-s");
     campaign.maxMeasurements =
-        static_cast<std::uint64_t>(maxMeasurements);
-    campaign.maxRounds = static_cast<std::size_t>(maxRounds);
+        static_cast<std::uint64_t>(args.getInt("max-measurements"));
+    campaign.maxRounds =
+        static_cast<std::size_t>(args.getInt("max-rounds"));
     campaign.memoize = !args.flag("no-memoize");
     campaign.resilient = stack.faulty != nullptr;
     campaign.resilience = stack.resilience;
@@ -728,28 +662,23 @@ cmdIterate(int argc, char **argv)
         sharding.expected.strandsPerPipe = topo.strandsPerPipe;
         sharding.expected.tasks = tasks;
         sharding.clock = &clock;
-        sharding.auditFraction = auditFraction;
+        sharding.auditFraction = args.getDouble("audit-fraction");
         sharding.auditSeed =
             static_cast<std::uint64_t>(args.getInt("seed"));
         sharding.health = &health;
-        core::ShardBackendFactory backendFactory;
-        if (garbageShard >= 0) {
-            // Chaos: one slot gets a Byzantine worker. Its corrupted
-            // values carry valid frames and CRCs — only the audit
-            // layer can tell it from an honest one.
-            backendFactory = core::makeProcessShardFactory(
+        // Chaos: --chaos-garbage-shard gives one slot a Byzantine
+        // worker (its -1 matches none). Its corrupted values carry
+        // valid frames and CRCs — only the audit layer can tell it
+        // from an honest one.
+        core::ShardBackendFactory backendFactory =
+            core::makeProcessShardFactory(
                 [workerArgv, garbageShard](std::size_t index) {
                     std::vector<std::string> argv = workerArgv;
-                    if (index ==
-                        static_cast<std::size_t>(garbageShard))
+                    if (static_cast<long>(index) == garbageShard)
                         argv.push_back("--garbage-values");
                     return argv;
                 },
                 clock, shardDeadline);
-        } else {
-            backendFactory = core::makeProcessShardFactory(
-                workerArgv, clock, shardDeadline);
-        }
         sharded = std::make_unique<core::ShardedEngine>(
             stack.substrate(), std::move(backendFactory), sharding);
     }
@@ -847,19 +776,24 @@ cmdHelp()
         "statsched — statistical task-assignment toolkit "
         "(ASPLOS'12 reproduction)\n\n"
         "usage: statsched_cli <command> [--option value | "
-        "--option=value | --flag ...]\n\n"
+        "--option=value | --flag ...]\n"
+        "A number outside its option's type or range, or a flag value "
+        "other than\n0, 1, true or false, exits 2 and lists every range."
+        "\n\n"
         "commands:\n"
         "  count      --tasks N [--topology CxPxS]\n"
-        "  capture    --percent P [--samples N | --target T]\n"
-        "  enumerate  --tasks N [--topology CxPxS] [--limit K]\n"
+        "  capture    --percent P [--samples N | --target T]   "
+        "(0 < P < 100, 0 < T < 1)\n"
+        "  enumerate  --tasks N [--topology CxPxS] [--limit K]   "
+        "(1 <= N <= 8)\n"
         "  baselines  --benchmark B [--instances K] [--seed S] "
         "[--draws N]\n"
         "  estimate   --benchmark B [--instances K] [--samples N] "
         "[--seed S]\n"
         "             [--cold-fits]\n"
-        "  iterate    --benchmark B [--loss PCT] [--ninit N] "
-        "[--ndelta N]\n"
-        "             [--max N] [--confident] [--cold-fits]\n"
+        "  iterate    --benchmark B [--loss PCT (0 < PCT < 100)] "
+        "[--ninit N]\n             [--ndelta N]"
+        " [--max N] [--confident] [--cold-fits]\n"
         "             [--journal PATH [--resume]] [--deadline-s S]\n"
         "             [--max-measurements N] [--max-rounds N]\n"
         "             [--shards N [--worker PATH] "
@@ -870,10 +804,10 @@ cmdHelp()
         "computes the memo keys) and\n--no-memoize (measure "
         "duplicate assignments afresh).\n\n"
         "fault tolerance: --fault-rate / --fault-garbage / "
-        "--fault-outlier /\n--fault-hang PCT inject deterministic "
-        "measurement faults (seeded by\n--fault-seed); --retries N "
-        "bounds the recovery attempts per failed\nmeasurement "
-        "(default 3).\n\n"
+        "--fault-outlier /\n--fault-hang PCT (each in [0, 100], at most "
+        "100 together) inject\ndeterministic measurement faults (seeded "
+        "by --fault-seed); --retries N\nbounds the recovery attempts per "
+        "failed measurement (default 3).\n\n"
         "durability: --journal PATH write-ahead-logs every "
         "measurement; after a\ncrash, the same command with --resume "
         "replays the journal and continues\nbit-identically. "
@@ -888,8 +822,8 @@ cmdHelp()
         "N, including 0). Dead or hung\nworkers are re-issued, "
         "respawned with backoff, then quarantined; with\nevery "
         "worker quarantined the campaign degrades to in-process "
-        "measuring.\n--audit-fraction F duplicates a seeded F of "
-        "indices to a second worker\nand convicts backends returning "
+        "measuring.\n--audit-fraction F (in [0, 1]) duplicates a seeded F "
+        "of indices to a second\nworker and convicts backends returning "
         "corrupt values. Worker exit codes:\n0 clean stop, 2 usage, "
         "3 protocol error.\n\n"
         "iterate exit codes: 0 target met, 2 usage or journal "

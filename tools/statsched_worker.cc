@@ -41,7 +41,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,14 +96,8 @@ main(int argc, char **argv)
     args.addFlag("garbage-values",
                  "chaos mode: corrupt every Ok value's bits before "
                  "replying (Byzantine worker)");
-    if (!args.parse(argc, argv, 1)) {
-        std::fprintf(stderr,
-                     "statsched_worker: %s\noptions:\n%s",
-                     args.error().c_str(), args.usage().c_str());
-        return 2;
-    }
-
     const char *const who = "statsched_worker";
+    tools::parseOrDie(who, args, argc, argv, 1);
     const core::Topology topo = core::Topology::ultraSparcT2();
     const sim::Benchmark benchmark =
         tools::benchmarkOrDie(who, args.get("benchmark"));
@@ -112,8 +105,14 @@ main(int argc, char **argv)
         tools::instancesOrDie(who, args, benchmark, topo);
     const core::FaultOptions faults =
         tools::faultOptionsOrDie(who, args);
-    const std::uint64_t configHash =
-        std::strtoull(args.get("config-hash").c_str(), nullptr, 10);
+    std::uint64_t configHash = 0;
+    if (!base::parseNumber(args.get("config-hash"), configHash)) {
+        std::fprintf(stderr,
+                     "%s: '--config-hash' must be an unsigned 64-bit "
+                     "integer (got '%s')\n",
+                     who, args.get("config-hash").c_str());
+        return 2;
+    }
 
     sim::SimulatedEngine simulated(
         sim::makeWorkload(benchmark, instances));
