@@ -5,18 +5,22 @@
  * Permuting the cores, the pipes within each core and the strands
  * within each pipe maps an assignment to another member of its
  * symmetry class (the classes Table 1 counts), so anything keyed by
- * the class must treat the two alike.
+ * the class must treat the two alike. batchesWithCopies() builds the
+ * batch streams that check it.
  */
 
 #ifndef STATSCHED_TESTS_RELABEL_HH
 #define STATSCHED_TESTS_RELABEL_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "core/assignment.hh"
+#include "core/sampler.hh"
 #include "stats/rng.hh"
 
 namespace statsched
@@ -58,6 +62,40 @@ relabeled(const core::Assignment &assignment, stats::Rng &rng)
                 shape.strandsPerPipe + strand);
     }
     return core::Assignment(shape, std::move(mapped));
+}
+
+/**
+ * @return twelve batches of 1 to 400 draws from `sampler`. Every other
+ *         batch also holds exact and relabeled copies of its own items
+ *         and of earlier batches' items, at places drawn from `rng`.
+ */
+inline std::vector<std::vector<core::Assignment>>
+batchesWithCopies(core::RandomAssignmentSampler &sampler, stats::Rng &rng)
+{
+    std::vector<std::vector<core::Assignment>> stream;
+    std::vector<core::Assignment> earlier;
+    const std::size_t sizes[] = {1, 5, 64, 200, 3, 120, 400, 17,
+                                 250, 90, 2, 300};
+    for (std::size_t b = 0; b < std::size(sizes); ++b) {
+        std::vector<core::Assignment> batch = sampler.drawSample(sizes[b]);
+        const std::size_t drawn = batch.size();
+        const std::size_t copies = b % 2 == 0 ? drawn / 3 + 1 : 0;
+        for (std::size_t k = 0; k < copies; ++k) {
+            const bool from_earlier = k % 2 == 1 && !earlier.empty();
+            const core::Assignment &source = from_earlier
+                ? earlier[rng.uniformInt(earlier.size())]
+                : batch[rng.uniformInt(drawn)];
+            const core::Assignment copy =
+                k % 3 == 0 ? source : relabeled(source, rng);
+            batch.insert(batch.begin() +
+                             static_cast<std::ptrdiff_t>(
+                                 rng.uniformInt(batch.size() + 1)),
+                         copy);
+        }
+        earlier.insert(earlier.end(), batch.begin(), batch.end());
+        stream.push_back(std::move(batch));
+    }
+    return stream;
 }
 
 } // namespace test
