@@ -119,6 +119,14 @@ class WorkerPool
      * indices are done. The caller participates; with no workers this
      * is a plain serial loop.
      *
+     * The task may throw. An exception must never unwind a pool
+     * thread, nor leave run() while workers still call the task, so
+     * each chunk's exception is caught where it is raised; once every
+     * chunk has finished, the one from the lowest chunk is rethrown on
+     * the caller. For a task that stops a chunk at its first failure,
+     * that is the exception a serial loop over [0, n) would have
+     * raised.
+     *
      * @param n     Number of indices.
      * @param chunk Chunk size (>= 1); use defaultChunk() if unsure.
      * @param task  Chunk body; must only touch per-index state.
@@ -137,6 +145,7 @@ class WorkerPool
         job->n = n;
         job->chunk = std::max<std::size_t>(chunk, 1);
         job->task = &task;
+        job->errors.resize((n + job->chunk - 1) / job->chunk);
 
         {
             MutexLock lock(mutex_);
@@ -146,38 +155,15 @@ class WorkerPool
 
         runChunks(*job);
 
-        MutexLock lock(mutex_);
-        while (job->done.load(std::memory_order_acquire) != job->n)
-            finished_.wait(mutex_);
-        // Clear the published job so destruction cannot race a worker
-        // that never woke for it.
-        job_.reset();
-    }
-
-    /**
-     * run() for a task that may throw. An exception must never unwind
-     * a pool thread, so each chunk's exception is caught where it is
-     * raised; once every chunk has finished, the one from the lowest
-     * chunk is rethrown on the caller. For a task that stops a chunk
-     * at its first failure, that is the exception a serial loop over
-     * [0, n) would have raised.
-     */
-    void
-    runRethrowing(std::size_t n, std::size_t chunk,
-                  const ChunkTask &task)
-    {
-        chunk = std::max<std::size_t>(chunk, 1);
-        std::vector<std::exception_ptr> errors((n + chunk - 1) / chunk);
-        run(n, chunk,
-            [&task, &errors, chunk](std::size_t begin,
-                                    std::size_t end) {
-                try {
-                    task(begin, end);
-                } catch (...) {
-                    errors[begin / chunk] = std::current_exception();
-                }
-            });
-        for (const std::exception_ptr &error : errors) {
+        {
+            MutexLock lock(mutex_);
+            while (job->done.load(std::memory_order_acquire) != job->n)
+                finished_.wait(mutex_);
+            // Clear the published job so destruction cannot race a
+            // worker that never woke for it.
+            job_.reset();
+        }
+        for (const std::exception_ptr &error : job->errors) {
             if (error)
                 std::rethrow_exception(error);
         }
@@ -194,6 +180,9 @@ class WorkerPool
         std::size_t n = 0;
         std::size_t chunk = 1;
         const ChunkTask *task = nullptr;
+        /** Each chunk's exception, written by the thread that ran it
+         *  and read by the caller once every chunk is done. */
+        std::vector<std::exception_ptr> errors;
         std::atomic<std::size_t> next{0};
         std::atomic<std::size_t> done{0};
     };
@@ -209,7 +198,11 @@ class WorkerPool
             if (begin >= job.n)
                 return;
             const std::size_t end = std::min(begin + job.chunk, job.n);
-            (*job.task)(begin, end);
+            try {
+                (*job.task)(begin, end);
+            } catch (...) {
+                job.errors[begin / job.chunk] = std::current_exception();
+            }
             const std::size_t finished =
                 job.done.fetch_add(end - begin,
                                    std::memory_order_acq_rel) +

@@ -257,6 +257,90 @@ PackedCanonicalForm::pack(const Assignment &assignment,
         *out = word;
 }
 
+PackedKeyTable::PackedKeyTable(std::size_t words, std::size_t expected)
+    : words_(words), stride_(2 + words)
+{
+    const std::size_t capacity =
+        std::bit_ceil(std::max<std::size_t>(16, 2 * expected));
+    mask_ = capacity - 1;
+    slots_.assign(capacity * stride_, 0);
+}
+
+std::uint64_t
+PackedKeyTable::hash(const std::uint64_t *key, std::size_t words)
+{
+    // splitmix64's finalizer, folded over the words.
+    std::uint64_t h = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+        h ^= key[w] + 0x9e3779b97f4a7c15ull;
+        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+        h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+        h ^= h >> 31;
+    }
+    return h != 0 ? h : 1;   // 0 marks an empty slot
+}
+
+std::size_t
+PackedKeyTable::slotOf(std::uint64_t hash, const std::uint64_t *key) const
+{
+    // The load stays at most one half, so an empty slot ends the probe.
+    for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
+        const std::uint64_t *slot = &slots_[i * stride_];
+        if (slot[0] == 0 ||
+            (slot[0] == hash && std::equal(key, key + words_, slot + 2)))
+            return i;
+    }
+}
+
+const std::uint64_t *
+PackedKeyTable::find(std::uint64_t hash, const std::uint64_t *key) const
+{
+    const std::uint64_t *slot = &slots_[slotOf(hash, key) * stride_];
+    return slot[0] == 0 ? nullptr : slot + 1;
+}
+
+std::pair<const std::uint64_t *, bool>
+PackedKeyTable::tryEmplace(std::uint64_t hash, const std::uint64_t *key,
+                           std::uint64_t payload)
+{
+    if (2 * (size_ + 1) > mask_ + 1)
+        grow();
+    std::uint64_t *slot = &slots_[slotOf(hash, key) * stride_];
+    if (slot[0] != 0)
+        return {slot + 1, false};
+    slot[0] = hash;
+    slot[1] = payload;
+    std::copy_n(key, words_, slot + 2);
+    ++size_;
+    return {slot + 1, true};
+}
+
+void
+PackedKeyTable::grow()
+{
+    const std::vector<std::uint64_t> old = std::move(slots_);
+    mask_ = 2 * mask_ + 1;
+    slots_.assign((mask_ + 1) * stride_, 0);
+    for (std::size_t at = 0; at < old.size(); at += stride_) {
+        if (old[at] != 0)
+            std::copy_n(&old[at], stride_,
+                        &slots_[slotOf(old[at], &old[at + 2]) * stride_]);
+    }
+}
+
+ClassTable::ClassTable(const Assignment &first)
+    : form(first.topology(), static_cast<std::uint32_t>(first.size())),
+      table(form.words())
+{
+}
+
+std::uint64_t
+ClassTable::pack(const Assignment &assignment, std::uint64_t *key) const
+{
+    form.pack(assignment, key);
+    return PackedKeyTable::hash(key, form.words());
+}
+
 std::string
 Assignment::toString() const
 {

@@ -10,8 +10,10 @@
  * also expose a *canonical key* identifying their equivalence class;
  * the class count is what Table 1 of the paper reports. The key comes
  * in two forms with the same partition: the canonicalKey() string,
- * whose hash journals store, and the PackedCanonicalForm words the
- * memo keys by.
+ * which feeds only the journal's key hash, and the PackedCanonicalForm
+ * words. Every layer that keeps state per class (the memo's values,
+ * the resilient layer's quarantine) keys it by those words, in a
+ * ClassTable of its one (topology, tasks) shape.
  */
 
 #ifndef STATSCHED_CORE_ASSIGNMENT_HH
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/check.hh"
@@ -104,8 +107,9 @@ class Assignment
      * two assignments get equal keys iff one can be transformed into
      * the other by permuting cores, permuting pipes within cores and
      * permuting strands within pipes. Journals store a hash of these
-     * bytes (journalKeyHash()); the memo keys by the cheaper
-     * PackedCanonicalForm, which is equal exactly when this is.
+     * bytes (journalKeyHash()); per-class state is keyed by the
+     * cheaper PackedCanonicalForm, which is equal exactly when this
+     * is.
      */
     std::string canonicalKey() const;
 
@@ -184,6 +188,83 @@ class PackedCanonicalForm
     std::size_t words_ = 0;
     /** Place of every context, indexed by ContextId. */
     std::vector<Place> places_;
+};
+
+/**
+ * Open-addressing map from a packed key of a fixed word count to a
+ * 64-bit payload: power-of-two capacity, linear probing, load at most
+ * one half. Slots hold the key's hash (0 marks an empty slot), the
+ * payload and the key words inline, so a lookup allocates nothing and
+ * matches only when the hash and every key word are equal.
+ */
+class PackedKeyTable
+{
+  public:
+    /**
+     * @param words    Words per key.
+     * @param expected Entries to size for without growing.
+     */
+    explicit PackedKeyTable(std::size_t words, std::size_t expected = 0);
+
+    /** @return the nonzero hash of a key of `words` words. */
+    static std::uint64_t hash(const std::uint64_t *key, std::size_t words);
+
+    /** @return the payload stored under the key, or nullptr. */
+    const std::uint64_t *find(std::uint64_t hash,
+                              const std::uint64_t *key) const;
+
+    /**
+     * Inserts the key with `payload` unless it is present.
+     *
+     * @return the stored payload, and whether it was inserted.
+     */
+    std::pair<const std::uint64_t *, bool>
+    tryEmplace(std::uint64_t hash, const std::uint64_t *key,
+               std::uint64_t payload);
+
+    /** @return entries stored. */
+    std::size_t size() const { return size_; }
+
+  private:
+    /** @return the index of the slot holding the key, or of the
+     *  empty slot where it would go. */
+    std::size_t slotOf(std::uint64_t hash,
+                       const std::uint64_t *key) const;
+
+    /** Doubles the capacity, rehashing by the stored hashes. */
+    void grow();
+
+    std::size_t words_;
+    /** Words per slot: hash, payload, key. */
+    std::size_t stride_;
+    /** Capacity - 1; the capacity is a power of two. */
+    std::size_t mask_ = 0;
+    std::size_t size_ = 0;
+    std::vector<std::uint64_t> slots_;
+};
+
+/**
+ * Per-class state of one (topology, tasks) shape: the shape's packed
+ * form and a table keyed by its words. pack() refuses an assignment
+ * of any other shape, so a layer holding one ClassTable serves one
+ * shape.
+ */
+struct ClassTable
+{
+    /** Takes the shape of `first`. */
+    explicit ClassTable(const Assignment &first);
+
+    /**
+     * Packs an assignment of the table's shape.
+     *
+     * @param key Receives form.words() words.
+     * @return the key's hash.
+     */
+    std::uint64_t pack(const Assignment &assignment,
+                       std::uint64_t *key) const;
+
+    const PackedCanonicalForm form;
+    PackedKeyTable table;
 };
 
 } // namespace core

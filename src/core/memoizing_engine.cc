@@ -5,10 +5,8 @@
 
 #include "core/memoizing_engine.hh"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
-#include <utility>
 #include <vector>
 #include "base/check.hh"
 #include "base/worker_pool.hh"
@@ -17,82 +15,6 @@ namespace statsched
 {
 namespace core
 {
-
-MemoizingEngine::KeyTable::KeyTable(std::size_t words,
-                                    std::size_t expected)
-    : words_(words), stride_(2 + words)
-{
-    const std::size_t capacity =
-        std::bit_ceil(std::max<std::size_t>(16, 2 * expected));
-    mask_ = capacity - 1;
-    slots_.assign(capacity * stride_, 0);
-}
-
-std::uint64_t
-MemoizingEngine::KeyTable::hash(const std::uint64_t *key,
-                                std::size_t words)
-{
-    // splitmix64's finalizer, folded over the words.
-    std::uint64_t h = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-        h ^= key[w] + 0x9e3779b97f4a7c15ull;
-        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-        h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-        h ^= h >> 31;
-    }
-    return h != 0 ? h : 1;   // 0 marks an empty slot
-}
-
-std::size_t
-MemoizingEngine::KeyTable::slotOf(std::uint64_t hash,
-                                  const std::uint64_t *key) const
-{
-    // The load stays at most one half, so an empty slot ends the probe.
-    for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
-        const std::uint64_t *slot = &slots_[i * stride_];
-        if (slot[0] == 0 ||
-            (slot[0] == hash && std::equal(key, key + words_, slot + 2)))
-            return i;
-    }
-}
-
-const std::uint64_t *
-MemoizingEngine::KeyTable::find(std::uint64_t hash,
-                                const std::uint64_t *key) const
-{
-    const std::uint64_t *slot = &slots_[slotOf(hash, key) * stride_];
-    return slot[0] == 0 ? nullptr : slot + 1;
-}
-
-std::pair<const std::uint64_t *, bool>
-MemoizingEngine::KeyTable::tryEmplace(std::uint64_t hash,
-                                      const std::uint64_t *key,
-                                      std::uint64_t payload)
-{
-    if (2 * (size_ + 1) > mask_ + 1)
-        grow();
-    std::uint64_t *slot = &slots_[slotOf(hash, key) * stride_];
-    if (slot[0] != 0)
-        return {slot + 1, false};
-    slot[0] = hash;
-    slot[1] = payload;
-    std::copy_n(key, words_, slot + 2);
-    ++size_;
-    return {slot + 1, true};
-}
-
-void
-MemoizingEngine::KeyTable::grow()
-{
-    const std::vector<std::uint64_t> old = std::move(slots_);
-    mask_ = 2 * mask_ + 1;
-    slots_.assign((mask_ + 1) * stride_, 0);
-    for (std::size_t at = 0; at < old.size(); at += stride_) {
-        if (old[at] != 0)
-            std::copy_n(&old[at], stride_,
-                        &slots_[slotOf(old[at], &old[at + 2]) * stride_]);
-    }
-}
 
 void
 MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
@@ -103,35 +25,33 @@ MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
     if (batch.empty())
         return;
 
-    std::vector<std::uint32_t> shape(batch.size());
-    std::vector<const PackedCanonicalForm *> forms;
+    const ClassTable *classes = nullptr;
     {
         base::MutexLock lock(mutex_);
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            shape[i] = shapeIndex(batch[i]);
-        for (const Shape &known : shapes_)
-            forms.push_back(&known.form);
+        if (!classes_)
+            classes_.emplace(batch[0]);
+        classes = &*classes_;
     }
 
     // Pass 0: each item's packed key and its hash, which depend on
     // that item alone, so they need neither the lock nor batch order.
-    // A key is zero-padded to the widest shape and followed by its
-    // shape index, so the batch-local index below tells shapes apart.
-    std::size_t width = 0;
-    for (const PackedCanonicalForm *form : forms)
-        width = std::max(width, form->words());
-    const std::size_t stride = width + 1;
-    std::vector<std::uint64_t> keys(batch.size() * stride);
+    // pack() raises ContractViolation for an item of another shape;
+    // the lowest such item surfaces here, before anything is
+    // forwarded.
+    const std::size_t words = classes->form.words();
+    std::vector<std::uint64_t> keys(batch.size() * words);
     std::vector<std::uint64_t> hashes(batch.size());
-    runKeyPass(batch.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            const PackedCanonicalForm &form = *forms[shape[i]];
-            std::uint64_t *key = &keys[i * stride];
-            form.pack(batch[i], key);
-            key[width] = shape[i];
-            hashes[i] = KeyTable::hash(key, form.words());
-        }
-    });
+    const auto keyRange = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            hashes[i] = classes->pack(batch[i], &keys[i * words]);
+    };
+    if (pool_ == nullptr)
+        keyRange(0, batch.size());
+    else
+        pool_->run(batch.size(),
+                   base::WorkerPool::defaultChunk(batch.size(),
+                                                  pool_->threads()),
+                   keyRange);
 
     // Pass 1: resolve cache hits and collect the unique misses in
     // first-occurrence order. `slot[i]` is the miss sub-batch index
@@ -142,15 +62,15 @@ MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
     std::vector<std::size_t> slot(batch.size(), kHit);
     std::vector<std::size_t> missItems;
     missItems.reserve(batch.size());
-    KeyTable pending(stride, batch.size());
+    PackedKeyTable pending(words, batch.size());
     std::uint64_t hit_count = 0;
 
     {
         base::MutexLock lock(mutex_);
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            const std::uint64_t *key = &keys[i * stride];
+            const std::uint64_t *key = &keys[i * words];
             if (const std::uint64_t *cached =
-                    shapes_[shape[i]].table.find(hashes[i], key)) {
+                    classes_->table.find(hashes[i], key)) {
                 out[i] = MeasurementOutcome::classify(
                     std::bit_cast<double>(*cached));
                 ++hit_count;
@@ -200,52 +120,17 @@ MemoizingEngine::measureBatchOutcome(std::span<const Assignment> batch,
     base::MutexLock lock(mutex_);
     for (const std::size_t i : missItems) {
         if (out[i].ok())
-            shapes_[shape[i]].table.tryEmplace(
-                hashes[i], &keys[i * stride],
+            classes_->table.tryEmplace(
+                hashes[i], &keys[i * words],
                 std::bit_cast<std::uint64_t>(out[i].value));
     }
-}
-
-std::uint32_t
-MemoizingEngine::shapeIndex(const Assignment &assignment)
-{
-    for (std::size_t s = 0; s < shapes_.size(); ++s) {
-        const PackedCanonicalForm &form = shapes_[s].form;
-        if (form.tasks() == assignment.size() &&
-            form.topology() == assignment.topology())
-            return static_cast<std::uint32_t>(s);
-    }
-    PackedCanonicalForm form(
-        assignment.topology(),
-        static_cast<std::uint32_t>(assignment.size()));
-    const std::size_t words = form.words();
-    shapes_.push_back(Shape{std::move(form), KeyTable(words)});
-    return static_cast<std::uint32_t>(shapes_.size() - 1);
-}
-
-void
-MemoizingEngine::runKeyPass(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)> &range) const
-{
-    if (pool_ == nullptr || pool_->threads() < 2) {
-        range(0, n);
-        return;
-    }
-    // A throwing key surfaces on this thread after the join: the
-    // lowest-index one, as the serial loop would raise it.
-    pool_->runRethrowing(
-        n, base::WorkerPool::defaultChunk(n, pool_->threads()), range);
 }
 
 std::size_t
 MemoizingEngine::size() const
 {
     base::MutexLock lock(mutex_);
-    std::size_t classes = 0;
-    for (const Shape &known : shapes_)
-        classes += known.table.size();
-    return classes;
+    return classes_ ? classes_->table.size() : 0;
 }
 
 } // namespace core

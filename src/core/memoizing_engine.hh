@@ -11,15 +11,15 @@
  * by the equivalence class, not the labeled placement. The key is the
  * PackedCanonicalForm of the class (one word per 16 tasks on the T2),
  * which is equal exactly when the Assignment::canonicalKey() strings
- * are; the strings feed only the journal's key hash and the resilient
- * layer's quarantine set.
+ * are.
  *
- * The cache is a flat open-addressing table: power-of-two capacity,
- * linear probing, load at most one half, key words inline in the
- * slots. A lookup that misses costs one O(tasks) pack, a hash and a
- * probe, and allocates nothing per item. Each (topology, tasks) shape
- * the memo sees gets a form and a table of its own, so assignments of
- * different shapes never share an entry.
+ * The cache is a core::ClassTable: a flat open-addressing table with
+ * the key words inline in the slots. A lookup that misses costs one
+ * O(tasks) pack, a hash and a probe, and allocates nothing per item.
+ * A memo serves one (topology, tasks) shape, the shape of its first
+ * batch: a batch holding an assignment of any other shape raises
+ * ContractViolation before anything is forwarded. Every program runs
+ * one workload per memo.
  *
  * Semantics: a cache hit replays the first measured value of the
  * class instead of drawing a fresh noisy measurement. For noiseless
@@ -43,10 +43,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <utility>
-#include <vector>
+#include <optional>
 
 #include "base/sync.hh"
 #include "core/assignment.hh"
@@ -127,85 +124,12 @@ class MemoizingEngine : public EngineDecorator
     std::size_t size() const;
 
   private:
-    /**
-     * Open-addressing map from a packed key of a fixed word count to
-     * a 64-bit payload. Slots hold the key's hash (0 marks an empty
-     * slot), the payload and the key words; a lookup matches only
-     * when the hash and every key word are equal.
-     */
-    class KeyTable
-    {
-      public:
-        /**
-         * @param words    Words per key.
-         * @param expected Entries to size for without growing.
-         */
-        explicit KeyTable(std::size_t words, std::size_t expected = 0);
-
-        /** @return the nonzero hash of a key of `words` words. */
-        static std::uint64_t hash(const std::uint64_t *key,
-                                  std::size_t words);
-
-        /** @return the payload stored under the key, or nullptr. */
-        const std::uint64_t *find(std::uint64_t hash,
-                                  const std::uint64_t *key) const;
-
-        /**
-         * Inserts the key with `payload` unless it is present.
-         *
-         * @return the stored payload, and whether it was inserted.
-         */
-        std::pair<const std::uint64_t *, bool>
-        tryEmplace(std::uint64_t hash, const std::uint64_t *key,
-                   std::uint64_t payload);
-
-        /** @return entries stored. */
-        std::size_t size() const { return size_; }
-
-      private:
-        /** @return the index of the slot holding the key, or of the
-         *  empty slot where it would go. */
-        std::size_t slotOf(std::uint64_t hash,
-                           const std::uint64_t *key) const;
-
-        /** Doubles the capacity, rehashing by the stored hashes. */
-        void grow();
-
-        std::size_t words_;
-        /** Words per slot: hash, payload, key. */
-        std::size_t stride_;
-        /** Capacity - 1; the capacity is a power of two. */
-        std::size_t mask_ = 0;
-        std::size_t size_ = 0;
-        std::vector<std::uint64_t> slots_;
-    };
-
-    /** One (topology, tasks) shape: its packed form and the
-     *  measured value of each of its classes. */
-    struct Shape
-    {
-        PackedCanonicalForm form;
-        KeyTable table;
-    };
-
-    /** @return the index of the assignment's shape in shapes_, added
-     *  on first sight. */
-    std::uint32_t shapeIndex(const Assignment &assignment)
-        SCHED_REQUIRES(mutex_);
-
-    /** Runs `range` over chunks of [0, n), on pool_ when it has
-     *  threads. */
-    void runKeyPass(
-        std::size_t n,
-        const std::function<void(std::size_t, std::size_t)> &range)
-        const;
-
     base::WorkerPool *const pool_;
     mutable base::Mutex mutex_{"core::MemoizingEngine::mutex_"};
-    /** Shapes seen so far, usually one. A deque keeps each form in
-     *  place as shapes are added, so the key pass reads the forms
-     *  without the lock; a form never changes once made. */
-    std::deque<Shape> shapes_ SCHED_GUARDED_BY(mutex_);
+    /** The measured value of each class of the first batch's shape,
+     *  as double bits. The key pass reads its form without the lock;
+     *  the form never changes once made. */
+    std::optional<ClassTable> classes_ SCHED_GUARDED_BY(mutex_);
     // Hit/miss tallies are documented-atomic: bumped outside the
     // cache lock on purpose (the measure paths count while the inner
     // engine runs unlocked), and each is an independent monotonic

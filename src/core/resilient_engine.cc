@@ -20,6 +20,24 @@ namespace core
 namespace
 {
 
+/** Modeled seconds waited before the first retry; each further retry
+ *  doubles the wait, up to the cap. */
+constexpr double kBackoffBaseSeconds = 0.5;
+constexpr double kBackoffFactor = 2.0;
+/** Upper bound on one backoff wait: five modeled minutes is already
+ *  far beyond any sane retry spacing. */
+constexpr double kBackoffCapSeconds = 300.0;
+
+/** @return whether `classes` holds the class of `assignment`.
+ *  @param key Scratch of classes.form.words() words. */
+bool
+holds(const ClassTable &classes, const Assignment &assignment,
+      std::uint64_t *key)
+{
+    return classes.table.find(classes.pack(assignment, key), key) !=
+        nullptr;
+}
+
 /** Median of a non-empty vector (consumed); even sizes average the
  *  two middle order statistics. */
 double
@@ -40,16 +58,8 @@ ResilientEngine::ResilientEngine(PerformanceEngine &inner,
 {
     SCHED_REQUIRE(options.maxAttempts >= 1,
                   "need at least one attempt");
-    SCHED_REQUIRE(options.backoffBaseSeconds >= 0.0 &&
-                  options.backoffFactor >= 1.0,
-                  "backoff must not shrink");
-    SCHED_REQUIRE(options.backoffCapSeconds >=
-                  options.backoffBaseSeconds,
-                  "backoff cap below its base");
     SCHED_REQUIRE(options.screenRelDeviation > 0.0,
                   "screening deviation must be positive");
-    SCHED_REQUIRE(options.quarantineAfter >= 1,
-                  "quarantine threshold must be positive");
 }
 
 void
@@ -118,18 +128,6 @@ ResilientEngine::screenOutliers(std::span<const Assignment> batch,
 }
 
 void
-ResilientEngine::recordExhaustion(const Assignment &assignment)
-{
-    const std::string key = assignment.canonicalKey();
-    base::MutexLock lock(mutex_);
-    const std::uint32_t count = ++exhaustions_[key];
-    if (count >= options_.quarantineAfter &&
-        quarantine_.insert(key).second) {
-        ++quarantined_;
-    }
-}
-
-void
 ResilientEngine::measureBatchOutcome(std::span<const Assignment> batch,
                                      std::span<MeasurementOutcome> out)
 {
@@ -140,14 +138,15 @@ ResilientEngine::measureBatchOutcome(std::span<const Assignment> batch,
     // retry sub-batches are deterministic, and so are the measurement
     // indices the layers below reserve for them. Quarantined classes
     // are rejected before any measurement; while nothing is
-    // quarantined no item needs its canonical key.
+    // quarantined no item is packed.
     std::vector<std::size_t> pending;
     pending.reserve(batch.size());
     {
         base::MutexLock lock(mutex_);
+        std::vector<std::uint64_t> key(
+            quarantine_ ? quarantine_->form.words() : 0);
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (!quarantine_.empty() &&
-                quarantine_.count(batch[i].canonicalKey()) != 0) {
+            if (quarantine_ && holds(*quarantine_, batch[i], key.data())) {
                 out[i] = MeasurementOutcome::failure(
                     MeasureStatus::Quarantined, 0);
             } else {
@@ -157,7 +156,7 @@ ResilientEngine::measureBatchOutcome(std::span<const Assignment> batch,
     }
 
     double backoff = 0.0;
-    double wait = options_.backoffBaseSeconds;
+    double wait = kBackoffBaseSeconds;
     std::vector<Assignment> sub;
     std::vector<MeasurementOutcome> outcomes;
     for (std::uint32_t attempt = 1;
@@ -202,16 +201,25 @@ ResilientEngine::measureBatchOutcome(std::span<const Assignment> batch,
                 retries_ += pending.size();
             }
             backoff += static_cast<double>(pending.size()) * wait;
-            wait = std::min(wait * options_.backoffFactor,
-                            options_.backoffCapSeconds);
+            wait = std::min(wait * kBackoffFactor, kBackoffCapSeconds);
         }
     }
 
-    for (const std::size_t idx : pending)
-        recordExhaustion(batch[idx]);
-    if (backoff > 0.0) {
+    {
         base::MutexLock lock(mutex_);
         backoffSeconds_ += backoff;
+        if (!pending.empty()) {
+            // Each item still pending exhausted its attempts: its
+            // class is quarantined.
+            if (!quarantine_)
+                quarantine_.emplace(batch[pending.front()]);
+            std::vector<std::uint64_t> key(quarantine_->form.words());
+            for (const std::size_t idx : pending) {
+                quarantine_->table.tryEmplace(
+                    quarantine_->pack(batch[idx], key.data()),
+                    key.data(), 0);
+            }
+        }
     }
     screenOutliers(batch, out);
 }
@@ -224,7 +232,7 @@ ResilientEngine::collectStats(EngineStats &stats) const
         // and the backoff total all come from the same instant.
         base::MutexLock lock(mutex_);
         stats.retries += retries_;
-        stats.quarantined += quarantined_;
+        stats.quarantined += quarantine_ ? quarantine_->table.size() : 0;
         // Extra attempts occupy the testbed like first attempts do;
         // the meter above only charged the requested measurements.
         stats.modeledSeconds += static_cast<double>(retries_) *
@@ -238,14 +246,17 @@ bool
 ResilientEngine::isQuarantined(const Assignment &assignment) const
 {
     base::MutexLock lock(mutex_);
-    return quarantine_.count(assignment.canonicalKey()) != 0;
+    if (!quarantine_)
+        return false;
+    std::vector<std::uint64_t> key(quarantine_->form.words());
+    return holds(*quarantine_, assignment, key.data());
 }
 
 std::size_t
 ResilientEngine::quarantineSize() const
 {
     base::MutexLock lock(mutex_);
-    return quarantine_.size();
+    return quarantine_ ? quarantine_->table.size() : 0;
 }
 
 } // namespace core

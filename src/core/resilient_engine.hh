@@ -9,8 +9,9 @@
  *
  *  - Retry with exponential backoff. A failed attempt (Errored,
  *    TimedOut, Invalid) is retried up to maxAttempts total attempts;
- *    the r-th retry waits backoffBaseSeconds * backoffFactor^r of
- *    *modeled* time, accounted in EngineStats::modeledSeconds just
+ *    the r-th retry waits 0.5 * 2^(r-1) seconds of *modeled* time,
+ *    at most 300 s (the uncapped series overflows to infinity near
+ *    attempt 1000), accounted in EngineStats::modeledSeconds just
  *    like the measurements themselves — reliability is priced into
  *    the experimentation budget, not hidden.
  *
@@ -22,11 +23,14 @@
  *    screening trades experimentation time for robustness.
  *
  *  - Quarantine. An assignment class whose measurement exhausts all
- *    attempts quarantineAfter times is quarantined: further requests
- *    return MeasureStatus::Quarantined immediately and the wrapped
- *    engine is never consulted for it again. This keeps a
- *    pathological assignment (one that wedges the testbed) from
- *    eating the retry budget of every future round.
+ *    attempts is quarantined at once: further requests return
+ *    MeasureStatus::Quarantined immediately and the wrapped engine is
+ *    never consulted for it again. This keeps a pathological
+ *    assignment (one that wedges the testbed) from eating the retry
+ *    budget of every future round. The quarantine is a
+ *    core::ClassTable of the shape of the first class it holds, keyed
+ *    by packed canonical forms like the memo; while it is empty no
+ *    item is packed.
  *
  * Determinism: retries and screening re-measurements are issued as
  * sub-batches in ascending original-index order, so the measurement
@@ -44,11 +48,10 @@
 #define STATSCHED_CORE_RESILIENT_ENGINE_HH
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
 
 #include "base/sync.hh"
+#include "core/assignment.hh"
 #include "core/performance_engine.hh"
 
 namespace statsched
@@ -57,29 +60,17 @@ namespace core
 {
 
 /**
- * Retry, screening and quarantine configuration.
+ * Retry and screening configuration.
  */
 struct ResilientOptions
 {
     /** Total attempts per measurement (1 = no retries). */
     std::uint32_t maxAttempts = 4;
-    /** Modeled seconds waited before the first retry. */
-    double backoffBaseSeconds = 0.5;
-    /** Backoff multiplier per further retry. */
-    double backoffFactor = 2.0;
-    /** Upper bound on one backoff wait. The uncapped geometric series
-     *  overflows to infinity near attempt 1000 and poisons the
-     *  modeled-time accounting long before that; five modeled minutes
-     *  is already far beyond any sane retry spacing. */
-    double backoffCapSeconds = 300.0;
     /** Median-of-k width; 0 or 1 disables outlier screening. */
     std::uint32_t screenWidth = 0;
     /** Relative deviation from the batch median that triggers
      *  screening, e.g. 0.5 = reading off by more than 50%. */
     double screenRelDeviation = 0.5;
-    /** Full attempt-exhaustions of one assignment class before it is
-     *  quarantined. */
-    std::uint32_t quarantineAfter = 1;
 };
 
 /**
@@ -91,7 +82,7 @@ class ResilientEngine : public EngineDecorator
   public:
     /**
      * @param inner   Engine to wrap; not owned.
-     * @param options Retry/screening/quarantine parameters.
+     * @param options Retry and screening parameters.
      */
     ResilientEngine(PerformanceEngine &inner,
                     const ResilientOptions &options = {});
@@ -134,18 +125,11 @@ class ResilientEngine : public EngineDecorator
     void screenOutliers(std::span<const Assignment> batch,
                         std::span<MeasurementOutcome> out);
 
-    /** Records a full attempt exhaustion; quarantines at the limit. */
-    void recordExhaustion(const Assignment &assignment);
-
     const ResilientOptions options_;
 
     mutable base::Mutex mutex_{"core::ResilientEngine::mutex_"};
-    /** Quarantined canonical classes. */
-    std::unordered_set<std::string> quarantine_
-        SCHED_GUARDED_BY(mutex_);
-    /** Full exhaustions per class, for the quarantine threshold. */
-    std::unordered_map<std::string, std::uint32_t> exhaustions_
-        SCHED_GUARDED_BY(mutex_);
+    /** Quarantined classes; made by the first exhaustion. */
+    std::optional<ClassTable> quarantine_ SCHED_GUARDED_BY(mutex_);
 
     // Health counters share the quarantine lock (they used to be
     // loose atomics next to a mutex-guarded backoffSeconds_, so
@@ -153,7 +137,6 @@ class ResilientEngine : public EngineDecorator
     // from a different instant): one lock, one consistent snapshot.
     std::uint64_t retries_ SCHED_GUARDED_BY(mutex_) = 0;
     std::uint64_t screened_ SCHED_GUARDED_BY(mutex_) = 0;
-    std::uint64_t quarantined_ SCHED_GUARDED_BY(mutex_) = 0;
     /** Modeled backoff seconds accumulated. */
     double backoffSeconds_ SCHED_GUARDED_BY(mutex_) = 0.0;
 };

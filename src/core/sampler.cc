@@ -214,7 +214,7 @@ RandomAssignmentSampler::drawOnPool(std::size_t n, base::WorkerPool &pool)
         // hold `need` acceptances, later chunks are speculative tail
         // and workers skip them.
         std::atomic<std::size_t> accepted{0};
-        pool.runRethrowing(
+        pool.run(
             count, 1,
             [&](std::size_t begin, std::size_t end) {
                 for (std::size_t c = begin; c < end; ++c) {

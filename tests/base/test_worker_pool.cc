@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -26,7 +28,7 @@ TEST(WorkerPool, RunRethrowingRaisesTheLowestChunksException)
         std::vector<int> done(100, 0);
         std::string raised;
         try {
-            pool.runRethrowing(
+            pool.run(
                 100, 10, [&done](std::size_t begin, std::size_t end) {
                     for (std::size_t i = begin; i < end; ++i) {
                         if (i == 37 || i == 83)
@@ -48,6 +50,78 @@ TEST(WorkerPool, RunRethrowingRaisesTheLowestChunksException)
             EXPECT_EQ(done[99], 1);
         }
     }
+}
+
+/**
+ * Waits, a bounded while, until `flag` is set, so a test can hold a
+ * chunk back until another thread has run one.
+ */
+void
+awaitFlag(const std::atomic<bool> &flag)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+}
+
+TEST(WorkerPool, RunCatchesAThrowOnTheCallingThread)
+{
+    // Only the caller's chunks throw. run() must not leave while
+    // workers still call the task: every chunk has finished by the
+    // time the exception reaches the caller.
+    WorkerPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    constexpr std::size_t n = 64;
+    std::atomic<bool> callerRan{false};
+    std::atomic<std::size_t> finished{0};
+    bool raised = false;
+    try {
+        pool.run(n, 1, [&](std::size_t, std::size_t) {
+            if (std::this_thread::get_id() == caller) {
+                callerRan = true;
+                ++finished;
+                throw std::runtime_error("caller");
+            }
+            // Workers hold back until the caller has thrown once.
+            awaitFlag(callerRan);
+            ++finished;
+        });
+    } catch (const std::runtime_error &error) {
+        raised = true;
+        EXPECT_STREQ(error.what(), "caller");
+        EXPECT_EQ(finished.load(), n);
+    }
+    EXPECT_TRUE(raised);
+}
+
+TEST(WorkerPool, RunRaisesAWorkersThrowOnTheCaller)
+{
+    // Only workers' chunks throw: the exception must reach the caller
+    // instead of ending the program from a pool thread.
+    WorkerPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    constexpr std::size_t n = 64;
+    std::atomic<bool> workerRan{false};
+    std::atomic<std::size_t> finished{0};
+    bool raised = false;
+    try {
+        pool.run(n, 1, [&](std::size_t, std::size_t) {
+            if (std::this_thread::get_id() != caller) {
+                workerRan = true;
+                ++finished;
+                throw std::runtime_error("worker");
+            }
+            // The caller holds back until a worker has thrown once.
+            awaitFlag(workerRan);
+            ++finished;
+        });
+    } catch (const std::runtime_error &error) {
+        raised = true;
+        EXPECT_STREQ(error.what(), "worker");
+        EXPECT_EQ(finished.load(), n);
+    }
+    EXPECT_TRUE(raised);
 }
 
 TEST(WorkerPool, DefaultSizeLeavesOneCpuFromThreeUp)

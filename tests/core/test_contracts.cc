@@ -148,7 +148,6 @@ TEST(ContractContainment, ResilientQuarantinesPersistentViolators)
     ContractViolatingEngine inner(1u << 30, /*recover=*/false);
     ResilientOptions options;
     options.maxAttempts = 2;
-    options.quarantineAfter = 1;
     ResilientEngine resilient(inner, options);
 
     const auto batch = drawBatch(1);
@@ -237,7 +236,6 @@ TEST(MemoizingRegression, QuarantinedOutcomeIsNotCached)
     ContractViolatingEngine inner(1u << 30, /*recover=*/false);
     ResilientOptions options;
     options.maxAttempts = 1;
-    options.quarantineAfter = 1;
     ResilientEngine resilient(inner, options);
     MemoizingEngine memo(resilient);
 
