@@ -20,36 +20,21 @@
  *  - SCHED_UNREACHABLE(msg)     — control flow that must never be
  *    taken (exhaustive switches, closed enums).
  *
- * Three build levels, selected with -DSTATSCHED_CHECK_LEVEL=<n>
- * (CMake option STATSCHED_CHECK_LEVEL):
- *
- *  0  off    — conditions are not evaluated (they are still parsed,
- *              so they cannot bit-rot). SCHED_UNREACHABLE degrades to
- *              __builtin_unreachable().
- *  1  report — the default. A violation throws ContractViolation, a
- *              structured error carrying the contract kind, condition
- *              text, message and source location. Measurement-path
- *              layers (core::ResilientEngine, core::ParallelEngine)
- *              catch it and surface the failure as a
- *              MeasureStatus::Errored outcome instead of aborting the
- *              whole experiment.
- *  2  trap   — a violation prints the same structured report to
- *              stderr and calls std::abort() so a debugger or core
- *              dump captures the state. Use for fuzzing and sanitizer
- *              runs where unwinding would hide the faulting frame.
+ * Every contract is checked in every build. A violation throws
+ * ContractViolation, a structured error carrying the contract kind,
+ * condition text, message and source location. The library contains
+ * it where a failure is expected: measurement-path layers
+ * (core::ResilientEngine, core::ParallelEngine) surface it as a
+ * MeasureStatus::Errored outcome instead of aborting the whole
+ * experiment, and the estimator degrades a round's estimate to the
+ * best observed value.
  */
 
 #ifndef STATSCHED_BASE_CHECK_HH
 #define STATSCHED_BASE_CHECK_HH
 
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
-
-#ifndef STATSCHED_CHECK_LEVEL
-#define STATSCHED_CHECK_LEVEL 1
-#endif
 
 namespace statsched
 {
@@ -77,9 +62,9 @@ contractKindName(ContractKind kind)
 }
 
 /**
- * Structured report of a broken contract. Thrown at check level 1;
- * the what() string carries the full formatted report so even an
- * uncaught violation terminates with a useful message.
+ * Structured report of a broken contract. The what() string carries
+ * the full formatted report so even an uncaught violation terminates
+ * with a useful message.
  */
 class ContractViolation : public std::logic_error
 {
@@ -124,7 +109,7 @@ class ContractViolation : public std::logic_error
     int line_;
 };
 
-/** Level-1 failure path: raise the structured error. */
+/** The failure path: raise the structured error. */
 [[noreturn]] inline void
 contractThrow(ContractKind kind, const char *condition,
               const std::string &message, const char *file, int line)
@@ -132,34 +117,11 @@ contractThrow(ContractKind kind, const char *condition,
     throw ContractViolation(kind, condition, message, file, line);
 }
 
-/** Level-2 failure path: report and trap in the faulting frame. */
-[[noreturn]] inline void
-contractTrap(ContractKind kind, const char *condition,
-             const std::string &message, const char *file, int line)
-{
-    std::fprintf(stderr, "%s violated: %s [%s]\n  @ %s:%d\n",
-                 contractKindName(kind), message.c_str(), condition,
-                 file, line);
-    std::abort();
-}
-
 } // namespace statsched
-
-#if STATSCHED_CHECK_LEVEL >= 2
-
-#define SCHED_CONTRACT_FAIL_(kind, cond_text, msg) \
-    ::statsched::contractTrap((kind), (cond_text), (msg), __FILE__, \
-                              __LINE__)
-
-#elif STATSCHED_CHECK_LEVEL == 1
 
 #define SCHED_CONTRACT_FAIL_(kind, cond_text, msg) \
     ::statsched::contractThrow((kind), (cond_text), (msg), __FILE__, \
                                __LINE__)
-
-#endif
-
-#if STATSCHED_CHECK_LEVEL >= 1
 
 #define SCHED_CONTRACT_CHECK_(kind, cond, msg) \
     do { \
@@ -186,19 +148,5 @@ contractTrap(ContractKind kind, const char *condition,
 #define SCHED_UNREACHABLE(msg) \
     SCHED_CONTRACT_FAIL_(::statsched::ContractKind::Unreachable, \
                          "reached unreachable code", (msg))
-
-#else // STATSCHED_CHECK_LEVEL == 0
-
-// Conditions stay parsed (sizeof) but are never evaluated, so
-// disabled contracts cannot bit-rot and carry no runtime cost.
-#define SCHED_CONTRACT_IGNORE_(cond) \
-    static_cast<void>(sizeof((cond) ? 1 : 0))
-
-#define SCHED_REQUIRE(cond, msg) SCHED_CONTRACT_IGNORE_(cond)
-#define SCHED_ENSURE(cond, msg) SCHED_CONTRACT_IGNORE_(cond)
-#define SCHED_INVARIANT(cond, msg) SCHED_CONTRACT_IGNORE_(cond)
-#define SCHED_UNREACHABLE(msg) __builtin_unreachable()
-
-#endif // STATSCHED_CHECK_LEVEL
 
 #endif // STATSCHED_BASE_CHECK_HH

@@ -20,16 +20,15 @@
  *     analysis can see (lambda bodies are analyzed as separate,
  *     unannotated functions and would leak accesses past it).
  *
- *  2. A process-wide lock-order graph (run time, STATSCHED_CHECK_LEVEL
- *     >= 1). Each thread keeps a stack of the base::Mutex objects it
- *     holds; every acquisition records "held before acquired" edges in
- *     a global directed graph, and the first acquisition that would
- *     close a cycle — the signature of a potential deadlock, even if
- *     this interleaving did not deadlock — raises a structured
+ *  2. A process-wide lock-order graph (run time, in every build). Each
+ *     thread keeps a stack of the base::Mutex objects it holds; every
+ *     acquisition records "held before acquired" edges in a global
+ *     directed graph, and the first acquisition that would close a
+ *     cycle — the signature of a potential deadlock, even if this
+ *     interleaving did not deadlock — raises a structured
  *     ContractViolation naming both locks. Recursive acquisition of a
  *     non-reentrant base::Mutex is reported the same way instead of
- *     deadlocking silently. At level 0 the bookkeeping compiles away
- *     and Mutex is a zero-overhead std::mutex wrapper.
+ *     deadlocking silently.
  *
  * The order graph only ever grows edges while a Mutex lives (a
  * destroyed Mutex retires its node, so id reuse across short-lived
@@ -46,6 +45,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "base/check.hh"
 
@@ -58,13 +61,6 @@
 #endif
 #ifdef STATSCHED_TSAN
 #include <sanitizer/tsan_interface.h>
-#endif
-
-#if STATSCHED_CHECK_LEVEL >= 1
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 #endif
 
 // --- Thread-safety annotation macros ------------------------------
@@ -122,8 +118,6 @@ namespace statsched
 {
 namespace base
 {
-
-#if STATSCHED_CHECK_LEVEL >= 1
 
 namespace detail
 {
@@ -225,20 +219,13 @@ class LockOrderGraph
     }
 
   private:
-    /** Routes the violation through the active contract policy:
-     *  throw at level 1, report-and-trap at level 2. */
+    /** Raises the violation as a ContractViolation. */
     [[noreturn]] static void
     failCheck(const std::string &message)
     {
-#if STATSCHED_CHECK_LEVEL >= 2
-        contractTrap(ContractKind::Invariant,
-                     "lock acquisitions keep the order graph acyclic",
-                     message, __FILE__, __LINE__);
-#else
         contractThrow(ContractKind::Invariant,
                       "lock acquisitions keep the order graph acyclic",
                       message, __FILE__, __LINE__);
-#endif
     }
 
     /** DFS: is `to` reachable from `from`? Caller holds m_. */
@@ -310,8 +297,6 @@ notePop(const void *self)
 
 } // namespace detail
 
-#endif // STATSCHED_CHECK_LEVEL >= 1
-
 /**
  * Non-reentrant mutual-exclusion capability. Exactly std::mutex plus
  * (a) a capability annotation the Clang analysis enforces and (b) the
@@ -321,18 +306,15 @@ notePop(const void *self)
 class SCHED_CAPABILITY("mutex") Mutex
 {
   public:
-    explicit Mutex(const char *name = "base::Mutex") : name_(name)
-#if STATSCHED_CHECK_LEVEL >= 1
-        , id_(detail::LockOrderGraph::instance().registerNode())
-#endif
+    explicit Mutex(const char *name = "base::Mutex")
+        : name_(name),
+          id_(detail::LockOrderGraph::instance().registerNode())
     {
     }
 
     ~Mutex()
     {
-#if STATSCHED_CHECK_LEVEL >= 1
         detail::LockOrderGraph::instance().unregisterNode(id_);
-#endif
 #ifdef STATSCHED_TSAN
         // libstdc++'s std::mutex never calls pthread_mutex_destroy, so
         // TSan would pass this lock order on to a mutex reusing m_.
@@ -346,21 +328,15 @@ class SCHED_CAPABILITY("mutex") Mutex
     void
     lock() SCHED_ACQUIRE()
     {
-#if STATSCHED_CHECK_LEVEL >= 1
         detail::noteAcquire(this, id_, name_);
-#endif
         m_.lock();
-#if STATSCHED_CHECK_LEVEL >= 1
         detail::notePush(this, id_, name_);
-#endif
     }
 
     void
     unlock() SCHED_RELEASE()
     {
-#if STATSCHED_CHECK_LEVEL >= 1
         detail::notePop(this);
-#endif
         m_.unlock();
     }
 
@@ -370,9 +346,7 @@ class SCHED_CAPABILITY("mutex") Mutex
   private:
     std::mutex m_;
     const char *name_;
-#if STATSCHED_CHECK_LEVEL >= 1
     const std::uint32_t id_;
-#endif
 };
 
 /**

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the base/check.hh contract layer at the default level
- * (1, check-and-report): violations throw ContractViolation with the
- * contract kind, condition text and source location attached.
+ * Tests for the base/check.hh contract layer: violations throw
+ * ContractViolation with the contract kind, condition text and source
+ * location attached.
  */
 
 #include <gtest/gtest.h>
@@ -18,10 +18,6 @@ namespace
 using statsched::contractKindName;
 using statsched::ContractKind;
 using statsched::ContractViolation;
-
-static_assert(STATSCHED_CHECK_LEVEL == 1,
-              "these tests exercise the default check-and-report "
-              "level");
 
 TEST(Check, PassingContractsAreSilent)
 {

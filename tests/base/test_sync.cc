@@ -107,12 +107,6 @@ TEST(Sync, MutexReportsItsDiagnosticName)
     EXPECT_STREQ("base::Mutex", anonymous.name());
 }
 
-#if STATSCHED_CHECK_LEVEL == 1
-
-// The checker throws at level 1 (it traps at level 2, and at level 0
-// the bookkeeping does not exist), so only level-1 builds can observe
-// the diagnostics from inside the process.
-
 /** Acquires `first` then `second`, recording one order edge. Marked
  *  no-analysis: the second lock is taken while the first is held by
  *  design, which is exactly what the runtime checker inspects. */
@@ -224,7 +218,5 @@ TEST(Sync, RecursiveAcquisitionThrowsInsteadOfDeadlocking)
     // released by unwinding and the mutex is usable again.
     MutexLock lock(mutex);
 }
-
-#endif // STATSCHED_CHECK_LEVEL == 1
 
 } // anonymous namespace
