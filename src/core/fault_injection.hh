@@ -21,14 +21,14 @@
  * (hang, transient, garbage, outlier) from one uniform variate:
  *
  *  - hang:      the measurement stalls and a watchdog reaps it after
- *               FaultOptions::hangSeconds of modeled time; reported
- *               as MeasureStatus::TimedOut, no reading.
+ *               10 s of modeled time; reported as
+ *               MeasureStatus::TimedOut, no reading.
  *  - transient: the run errors out; MeasureStatus::Errored, no
  *               reading.
  *  - garbage:   the engine returns NaN; MeasureStatus::Invalid.
- *  - outlier:   the reading IS delivered as Ok but multiplied by
- *               FaultOptions::outlierFactor — a silently wrong value
- *               only median-of-k screening can catch.
+ *  - outlier:   the reading IS delivered as Ok but multiplied by 3
+ *               — a silently wrong value only median-of-k screening
+ *               can catch.
  *
  * ValueCorruptingEngine, also here, is the Byzantine counterpart: it
  * corrupts every Ok reading, and only a second opinion catches it.
@@ -58,11 +58,6 @@ struct FaultOptions
     double transientRate = 0.0; //!< P(transient error -> Errored)
     double garbageRate = 0.0;   //!< P(NaN reading -> Invalid)
     double outlierRate = 0.0;   //!< P(silent multiplicative outlier)
-    /** Multiplier applied to outlier readings (still reported Ok). */
-    double outlierFactor = 3.0;
-    /** Modeled wall-clock cost of one hang until the watchdog fires
-     *  (priced into EngineStats::modeledSeconds). */
-    double hangSeconds = 10.0;
     /** Fault stream seed, independent of the engine's noise seed. */
     std::uint64_t seed = 0xfa017;
 
@@ -100,7 +95,7 @@ class FaultInjectingEngine : public EngineDecorator
 
     /**
      * Contributes the injected failures and the hang time surcharge:
-     * a hung measurement costs hangSeconds instead of the engine's
+     * a hung measurement costs 10 s instead of the engine's
      * secondsPerMeasurement() a meter above already charged.
      */
     void collectStats(EngineStats &stats) const override;

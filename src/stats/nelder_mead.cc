@@ -22,6 +22,14 @@ namespace stats
 namespace
 {
 
+/** fminsearch's coefficients, and its perturbation of a zero
+ *  coordinate of the initial simplex. */
+constexpr double kReflection = 1.0;
+constexpr double kExpansion = 2.0;
+constexpr double kContraction = 0.5;
+constexpr double kShrink = 0.5;
+constexpr double kZeroPerturbation = 0.00025;
+
 /**
  * A simplex vertex: a point, its objective value and the bound on that
  * value's distance from the exact objective (0 once exact). `f` and
@@ -158,8 +166,8 @@ nelderMeadMinimize(const BoundedObjective &objective,
     Evaluator eval(objective);
 
     // fminsearch-style initial simplex: perturb each coordinate by
-    // initialPerturbation (5% by default), or by zeroPerturbation when
-    // the coordinate is zero.
+    // initialPerturbation (5% by default), or set it to
+    // kZeroPerturbation when it is zero.
     std::vector<Vertex> simplex;
     simplex.reserve(n + 1);
     simplex.push_back(eval.at(start));
@@ -168,7 +176,7 @@ nelderMeadMinimize(const BoundedObjective &objective,
         if (p[i] != 0.0)
             p[i] *= 1.0 + options.initialPerturbation;
         else
-            p[i] = options.zeroPerturbation;
+            p[i] = kZeroPerturbation;
         simplex.push_back(eval.at(std::move(p)));
     }
 
@@ -209,13 +217,12 @@ nelderMeadMinimize(const BoundedObjective &objective,
         const Vertex &second_worst = simplex[simplex.size() - 2];
 
         // Reflection.
-        Vertex r = eval.at(affine(centroid, worst.x, -options.reflection));
+        Vertex r = eval.at(affine(centroid, worst.x, -kReflection));
 
         if (eval.less(r, best)) {
             // Expansion.
-            Vertex e = eval.at(affine(centroid, worst.x,
-                                      -options.reflection *
-                                          options.expansion));
+            Vertex e = eval.at(
+                affine(centroid, worst.x, -kReflection * kExpansion));
             worst = eval.less(e, r) ? std::move(e) : std::move(r);
             continue;
         }
@@ -227,14 +234,13 @@ nelderMeadMinimize(const BoundedObjective &objective,
         // Contraction (outside if the reflected point improved on the
         // worst vertex, inside otherwise).
         if (eval.less(r, worst)) {
-            Vertex c = eval.at(affine(centroid, r.x, options.contraction));
+            Vertex c = eval.at(affine(centroid, r.x, kContraction));
             if (eval.lessEqual(c, r)) {
                 worst = std::move(c);
                 continue;
             }
         } else {
-            Vertex c =
-                eval.at(affine(centroid, worst.x, options.contraction));
+            Vertex c = eval.at(affine(centroid, worst.x, kContraction));
             if (eval.less(c, worst)) {
                 worst = std::move(c);
                 continue;
@@ -244,7 +250,7 @@ nelderMeadMinimize(const BoundedObjective &objective,
         // Shrink towards the best vertex.
         for (std::size_t v = 1; v < simplex.size(); ++v) {
             simplex[v] =
-                eval.at(affine(simplex[0].x, simplex[v].x, options.shrink));
+                eval.at(affine(simplex[0].x, simplex[v].x, kShrink));
         }
     }
 

@@ -31,24 +31,19 @@ namespace stats
 {
 
 /**
- * Options controlling the simplex search.
+ * Options controlling the simplex search. Its coefficients are
+ * fminsearch's constants (see the file comment).
  */
 struct NelderMeadOptions
 {
     double tolX = 1e-10;          //!< simplex size tolerance
     double tolF = 1e-10;          //!< function value spread tolerance
     std::size_t maxIterations = 2000;
-    double reflection = 1.0;
-    double expansion = 2.0;
-    double contraction = 0.5;
-    double shrink = 0.5;
     /** Relative per-coordinate perturbation of the initial simplex
      *  (fminsearch uses 5%). Warm-started searches that begin near the
      *  optimum shrink this so iterations go into contraction instead
      *  of re-walking a too-large simplex. */
     double initialPerturbation = 0.05;
-    /** Absolute perturbation used for zero coordinates. */
-    double zeroPerturbation = 0.00025;
 };
 
 /**
@@ -102,7 +97,7 @@ struct BoundedObjective
  *
  * @param objective Estimate and exact value, R^n -> R (may be +inf).
  * @param start     Starting point (defines n; n >= 1).
- * @param options   Tolerances and coefficients.
+ * @param options   Tolerances and initial simplex size.
  */
 NelderMeadResult
 nelderMeadMinimize(const BoundedObjective &objective,
@@ -114,7 +109,7 @@ nelderMeadMinimize(const BoundedObjective &objective,
  *
  * @param objective Function R^n -> R (may return +inf).
  * @param start     Starting point (defines n; n >= 1).
- * @param options   Tolerances and coefficients.
+ * @param options   Tolerances and initial simplex size.
  */
 NelderMeadResult
 nelderMeadMinimize(const std::function<double(

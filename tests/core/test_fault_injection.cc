@@ -155,7 +155,6 @@ TEST(FaultInjection, OutliersInflateTheCleanReading)
     const auto a = drawBatch(1)[0];
     FaultOptions faults;
     faults.outlierRate = 1.0;
-    faults.outlierFactor = 3.0;
 
     auto sim_clean = makeSim();
     const double clean = sim_clean.measure(a);
@@ -171,7 +170,6 @@ TEST(FaultInjection, StatsCountFailuresAndPriceHangs)
     auto sim = makeSim();
     FaultOptions faults;
     faults.hangRate = 1.0;
-    faults.hangSeconds = 10.0;
     FaultInjectingEngine faulty(sim, faults);
     core::MeteredEngine meter(faulty);
 
@@ -184,7 +182,7 @@ TEST(FaultInjection, StatsCountFailuresAndPriceHangs)
     const core::EngineStats stats = meter.stats();
     EXPECT_EQ(stats.failures, 10u);
     // The meter charges 1.5 s per requested measurement; each hang
-    // costs hangSeconds instead, so the injector adds the difference.
+    // costs 10 s instead, so the injector adds the difference.
     EXPECT_NEAR(stats.modeledSeconds, 10 * 1.5 + 10 * (10.0 - 1.5),
                 1e-9);
 }
