@@ -361,7 +361,8 @@ Assignment::toString() const
             for (std::size_t i = 0; i < tasks.size(); ++i) {
                 if (i)
                     out += " ";
-                out += "t" + std::to_string(tasks[i]);
+                out += 't';
+                out += std::to_string(tasks[i]);
             }
             out += "]";
         }

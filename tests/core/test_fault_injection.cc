@@ -108,9 +108,10 @@ TEST(FaultInjection, BitIdenticalAcrossThreadCounts)
         for (std::size_t i = 0; i < batch.size(); ++i) {
             EXPECT_EQ(runs[0][i].status, runs[r][i].status)
                 << "run " << r << " index " << i;
-            if (runs[0][i].ok())
+            if (runs[0][i].ok()) {
                 EXPECT_EQ(runs[0][i].value, runs[r][i].value)
                     << "run " << r << " index " << i;
+            }
         }
     }
 }
@@ -135,9 +136,10 @@ TEST(FaultInjection, SerialCallsMatchOneBatch)
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
         EXPECT_EQ(expected[i].status, got[i].status) << "index " << i;
-        if (expected[i].ok())
+        if (expected[i].ok()) {
             EXPECT_EQ(expected[i].value, got[i].value)
                 << "index " << i;
+        }
     }
 }
 

@@ -162,8 +162,9 @@ TEST(LpmTrie, MatchesBruteForceOracle)
         const auto expected = oracle(addr);
         const auto actual = trie.lookup(addr);
         ASSERT_EQ(actual.has_value(), expected.has_value()) << addr;
-        if (expected)
+        if (expected) {
             EXPECT_EQ(actual->egressPort, *expected) << addr;
+        }
     }
 }
 

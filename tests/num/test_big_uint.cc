@@ -183,8 +183,9 @@ TEST(BigUint, RandomizedSmallArithmeticOracle)
         EXPECT_EQ((ba * bb).toUint64(), a * b);
         EXPECT_EQ((ba / bb).toUint64(), a / b);
         EXPECT_EQ((ba % bb).toUint64(), a % b);
-        if (a >= b)
+        if (a >= b) {
             EXPECT_EQ((ba - bb).toUint64(), a - b);
+        }
     }
 }
 

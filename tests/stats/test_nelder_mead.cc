@@ -214,12 +214,14 @@ TEST(NelderMead, BoundedObjectiveDecidesLikeExact)
             EXPECT_EQ(bounded.evaluations, plain.evaluations)
                 << c.name << " bound " << b;
             EXPECT_LE(bounded.exactEvaluations, bounded.evaluations);
-            if (b == 0)
+            if (b == 0) {
                 EXPECT_EQ(bounded.exactEvaluations, plain.evaluations);
+            }
             // A small bound settles most comparisons on the estimates.
-            if (b == 1)
+            if (b == 1) {
                 EXPECT_LT(bounded.exactEvaluations, plain.evaluations / 2)
                     << c.name;
+            }
         }
     }
 }
