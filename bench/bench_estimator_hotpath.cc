@@ -20,9 +20,12 @@
  *  - fast-warm: PotAccumulator as shipped (warm-started fits).
  *
  * It also reports GPD fits/sec (cold vs warm), the share of likelihood
- * evaluations the fit sums exactly, and ns per fused profile
- * evaluation for exceedance counts m in {20, 100, 500, 1500}, and
- * writes the results to BENCH_estimator.json in the working directory.
+ * evaluations the fit sums exactly, ns per exceedance of one bounded
+ * likelihood estimate and of one exact likelihood sum at the fitted
+ * point (the two passes the search chooses between), and ns per fused
+ * profile evaluation for exceedance counts m in {20, 100, 500, 1500},
+ * and writes the results to BENCH_estimator.json in the working
+ * directory.
  *
  * Its verification pass is also a gate: every fit of the scenario and
  * of the throughput rows, cold and warm, must equal bit for bit a fit
@@ -45,6 +48,7 @@
 #include "bench/harness.hh"
 #include "stats/descriptive.hh"
 #include "stats/gpd.hh"
+#include "stats/gpd_fit.hh"
 #include "stats/mean_excess.hh"
 #include "stats/nelder_mead.hh"
 #include "stats/pot.hh"
@@ -550,6 +554,8 @@ struct FitRates
     double warmPerSec = 0.0;
     double coldExactShare = 0.0;   //!< exact / all likelihood evaluations
     double warmExactShare = 0.0;
+    double boundedNsPerValue = 0.0; //!< one bounded estimate, per y
+    double exactNsPerValue = 0.0;   //!< one exact sum, per y
     double profileEvalNs = 0.0;
 };
 
@@ -589,6 +595,30 @@ fitThroughput(std::size_t m, int iters, FitGate &gate)
             (void)fit;
         }
         out.warmPerSec = iters / seconds(start, Clock::now());
+    }
+    {
+        // Both likelihood passes at the fitted point, where the search
+        // spends its evaluations.
+        const auto fit = stats::fitGpd(ys);
+        const double y_max = stats::maximum(ys);
+        const int evals = iters * 50;
+        const double values = static_cast<double>(evals) *
+            static_cast<double>(m);
+        double sink = 0.0;
+        auto start = Clock::now();
+        for (int i = 0; i < evals; ++i) {
+            sink += stats::gpdNegativeLogLikelihoodBounded(
+                        fit.xi, fit.sigma, ys, y_max)
+                        .value;
+        }
+        out.boundedNsPerValue =
+            seconds(start, Clock::now()) * 1e9 / values;
+        start = Clock::now();
+        for (int i = 0; i < evals; ++i)
+            sink += stats::gpdNegativeLogLikelihood(fit.xi, fit.sigma, ys);
+        out.exactNsPerValue = seconds(start, Clock::now()) * 1e9 / values;
+        if (!std::isfinite(sink))
+            std::printf("unexpected non-finite likelihood sum\n");
     }
     {
         // Distinct b per evaluation so the memo never hits: this is
@@ -638,10 +668,11 @@ main(int argc, char **argv)
                 sc.fastWarmSeconds * 1e3, speedup_warm,
                 sc.maxWarmUpbDelta, sc.shortcutHits);
 
-    bench::section("fit throughput and profile evaluation");
-    std::printf("%6s %12s %12s %11s %11s %16s\n", "m", "cold fits/s",
-                "warm fits/s", "cold exact", "warm exact",
-                "profile eval ns");
+    bench::section("fit throughput, likelihood passes and profile "
+                   "evaluation");
+    std::printf("%6s %12s %12s %11s %11s %11s %11s %16s\n", "m",
+                "cold fits/s", "warm fits/s", "cold exact", "warm exact",
+                "bounded/y", "exact/y", "profile eval ns");
     // 1500 is about paper-stateful12's mean exceedance count.
     constexpr int rows = 4;
     const std::size_t ms[rows] = {20, 100, 500, 1500};
@@ -649,10 +680,12 @@ main(int argc, char **argv)
     FitGate gate = sc.gate;
     for (int i = 0; i < rows; ++i) {
         rates[i] = fitThroughput(ms[i], fit_iters, gate);
-        std::printf("%6zu %12.0f %12.0f %10.1f%% %10.1f%% %16.1f\n",
+        std::printf("%6zu %12.0f %12.0f %10.1f%% %10.1f%% %8.2f ns "
+                    "%8.2f ns %16.1f\n",
                     ms[i], rates[i].coldPerSec, rates[i].warmPerSec,
                     100.0 * rates[i].coldExactShare,
                     100.0 * rates[i].warmExactShare,
+                    rates[i].boundedNsPerValue, rates[i].exactNsPerValue,
                     rates[i].profileEvalNs);
     }
     const bool fits_identical = gate.differing == 0;
@@ -699,10 +732,14 @@ main(int argc, char **argv)
                          "%.0f, \"warm_fits_per_sec\": %.0f, "
                          "\"cold_exact_share\": %.3f, "
                          "\"warm_exact_share\": %.3f, "
+                         "\"bounded_ns_per_value\": %.2f, "
+                         "\"exact_ns_per_value\": %.2f, "
                          "\"profile_eval_ns\": %.1f}%s\n",
                          ms[i], rates[i].coldPerSec,
                          rates[i].warmPerSec, rates[i].coldExactShare,
-                         rates[i].warmExactShare, rates[i].profileEvalNs,
+                         rates[i].warmExactShare,
+                         rates[i].boundedNsPerValue,
+                         rates[i].exactNsPerValue, rates[i].profileEvalNs,
                          i + 1 < rows ? "," : "");
         }
         std::fprintf(json, "  ],\n");
