@@ -13,6 +13,7 @@
 #include "core/sampler.hh"
 #include "sim/benchmarks.hh"
 #include "sim/engine.hh"
+#include "stats/mean_excess.hh"
 #include "stats/pot.hh"
 
 int
@@ -33,6 +34,9 @@ main()
     for (int i = 0; i < 5000; ++i)
         sample.push_back(engine.measure(sampler.draw()));
 
+    // The fixed-fraction selection does not compute the tail R^2; read
+    // it off the sample's mean-excess function at each threshold.
+    const stats::MeanExcess me(sample);
     std::printf("%-12s %8s %10s %12s %12s %12s %8s\n", "fraction",
                 "m", "xi-hat", "UPB (MPPS)", "CI lo", "CI hi",
                 "tail R^2");
@@ -50,7 +54,7 @@ main()
                     std::isfinite(est.upbUpper)
                         ? bench::mpps(est.upbUpper).c_str()
                         : "unbounded",
-                    est.tailLinearity);
+                    me.tailLinearity(est.threshold));
     }
 
     bench::section("LinearityScan policy (automated "

@@ -62,6 +62,6 @@ main()
                 bench::mpps(sel.threshold).c_str(),
                 sel.exceedances.size());
     std::printf("  mean-excess tail linearity above u: R^2 = %.4f\n",
-                sel.tailLinearity);
+                me.tailLinearity(sel.threshold));
     return 0;
 }

@@ -40,11 +40,14 @@ class MeanExcess
 
     /**
      * Builds the mean-excess function from an already ascending-sorted
-     * sample, skipping the O(n log n) sort. The threshold selection
-     * builds it over the upper tail of a sorted sample only (see
+     * sample, skipping the O(n log n) sort. The LinearityScan threshold
+     * policy builds it over the upper tail of a sorted sample only (see
      * selectThresholdFromSorted()); suffix sums accumulate from the
      * top, so e_n(u) and tailLinearity(u) at or above the tail's first
-     * value are the doubles the whole sample would give.
+     * value are the doubles the whole sample would give. A
+     * fixed-fraction selection builds none; its readers ask
+     * tailLinearity(u) of the whole sample's function, which gives the
+     * same double.
      *
      * @param sorted Observations in ascending order.
      */

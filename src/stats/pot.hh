@@ -35,6 +35,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -102,7 +103,10 @@ struct PotEstimate
     double confidenceLevel = 0.95;
 
     double profileMaxLogLik = 0.0; //!< L(xi-hat, UPB-hat)
-    double tailLinearity = 0.0;    //!< mean-excess R^2 above u
+    /** Mean-excess R^2 above u as the threshold selection computed
+     *  it: NaN (not computed) unless the LinearityScan policy picked
+     *  u, for which it is the criterion. */
+    double tailLinearity = std::numeric_limits<double>::quiet_NaN();
     bool valid = false;            //!< xi-hat < 0 and fit converged
     /** Structured grade of the estimate; valid iff status == Ok. */
     EstimateStatus status = EstimateStatus::Invalid;

@@ -61,7 +61,11 @@ PotAccumulator::extend(const std::vector<double> &values)
     // largest first, lands just above the old values <= it, so old
     // values stay ahead of equal new ones as std::inplace_merge orders
     // them, and the merged sequence is exactly what sorting the
-    // cumulative sample produces.
+    // cumulative sample produces. Each placed value is checked against
+    // its two neighbours, which is the sample's order check: O(k) per
+    // batch, where estimate() checks only the tail it reads. The one
+    // below is data[pos - 1], which the merge does not move;
+    // data[pos + j - 1] is stale mid-merge.
     std::sort(batch.begin(), batch.end());
     pendingMax_ = havePending_ ? std::max(pendingMax_, batch.back())
                                : batch.back();
@@ -77,6 +81,11 @@ PotAccumulator::extend(const std::vector<double> &values)
         std::memmove(data + pos + j + 1, data + pos,
                      (old_end - pos) * sizeof(double));
         data[pos + j] = v;
+        SCHED_INVARIANT((pos == 0 || data[pos - 1] <= v) &&
+                        (pos + j + 1 == sorted_.size() ||
+                         v <= data[pos + j + 1]),
+                        "extend() must keep the sample in ascending "
+                        "order");
         old_end = pos;
     }
 }
@@ -105,10 +114,10 @@ PotAccumulator::estimate()
     // Tail-unchanged shortcut: under the fixed-fraction policy, if the
     // exceedance cap did not grow and every value added since the last
     // estimate sits at or below the previous threshold, then the top
-    // cap + 1 order statistics — and with them the threshold, the
-    // strict exceedances and the tail mean-excess plot — are exactly
-    // what they were. The previous estimate is still the answer; only
-    // the exceedance rate (denominator n) moved.
+    // cap + 1 order statistics — and with them the threshold and the
+    // strict exceedances — are exactly what they were. The previous
+    // estimate is still the answer; only the exceedance rate
+    // (denominator n) moved.
     if (havePrevious_ &&
         options_.threshold.policy == ThresholdPolicy::FixedFraction &&
         cap == previousCap_ &&
@@ -121,8 +130,9 @@ PotAccumulator::estimate()
         return previous_;
     }
 
-    // Full path: threshold selection over the maintained sorted sample
-    // (no re-sort), then the shared fit + point estimate pipeline.
+    // Full path: threshold selection over the tail of the maintained
+    // sorted sample (no re-sort, no whole-sample scan), then the shared
+    // fit + point estimate pipeline.
     ThresholdSelection selection =
         selectThresholdFromSorted(sorted_, options_.threshold);
     est.threshold = selection.threshold;

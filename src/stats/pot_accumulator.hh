@@ -66,7 +66,10 @@ class PotAccumulator
      * sorted (O(k log k + k log n) comparisons and one move of each
      * value above the batch's smallest, for a batch of k into a sample
      * of n). The order is the one std::inplace_merge of the sorted
-     * batch gives: an old value ahead of an equal new one.
+     * batch gives: an old value ahead of an equal new one. Each value
+     * placed is checked against its two neighbours, so the sample's
+     * order is checked once, where values enter, and estimate()'s
+     * threshold selection checks only the tail it reads.
      */
     void extend(const std::vector<double> &values);
 

@@ -23,23 +23,23 @@ namespace
  * Builds a selection whose exceedances are the top `count` order
  * statistics; the threshold is placed at the highest excluded value so
  * exactly `count` observations lie strictly above it (ties reduce the
- * count, which keeps the iid exceedance definition exact).
+ * count, which keeps the iid exceedance definition exact). Reads
+ * sorted[n - count - 1, n) only; tailLinearity stays NaN.
  */
 ThresholdSelection
-selectionFromCount(const std::vector<double> &sorted, std::size_t count,
-                   const MeanExcess &me)
+selectionFromCount(const std::vector<double> &sorted, std::size_t count)
 {
     ThresholdSelection sel;
     SCHED_REQUIRE(count >= 1 && count < sorted.size(),
                   "invalid exceedance count");
     const std::size_t cut = sorted.size() - count;
     sel.threshold = sorted[cut - 1];
+    sel.exceedances.reserve(count);
     for (std::size_t i = cut; i < sorted.size(); ++i) {
         const double y = sorted[i] - sel.threshold;
         if (y > 0.0)
             sel.exceedances.push_back(y);
     }
-    sel.tailLinearity = me.tailLinearity(sel.threshold);
     return sel;
 }
 
@@ -75,23 +75,34 @@ selectThresholdFromSorted(const std::vector<double> &sorted,
                   "need at least 5 exceedances for a GPD fit");
     SCHED_REQUIRE(sorted.size() >= 2 * options.minExceedances,
                   "sample too small for threshold selection");
-    SCHED_REQUIRE(std::is_sorted(sorted.begin(), sorted.end()),
-                  "threshold selection requires ascending order");
 
     const std::size_t cap = exceedanceCap(sorted.size(), options);
 
     // The lowest threshold either policy can pick is
-    // sorted[n - cap - 1]. Mean excesses and linearity at or above it
-    // read only the values from its first copy up, and the suffix sums
-    // accumulate from the top, so this tail gives every double the
-    // whole sample would.
-    const auto tail = std::lower_bound(
-        sorted.begin(), sorted.end(), sorted[sorted.size() - cap - 1]);
-    const MeanExcess me =
-        MeanExcess::fromSorted(std::vector<double>(tail, sorted.end()));
+    // sorted[n - cap - 1]. The fixed fraction reads from it up. The
+    // scan's mean excesses and linearity read the values from its
+    // first copy up, and the suffix sums accumulate from the top, so
+    // this tail gives every double the whole sample would. The order
+    // check covers the range read: O(cap), not O(n).
+    const auto lowest =
+        sorted.end() - static_cast<std::ptrdiff_t>(cap + 1);
+    const auto tail =
+        options.policy == ThresholdPolicy::FixedFraction
+            ? lowest
+            : std::lower_bound(sorted.begin(), lowest, *lowest);
+    SCHED_REQUIRE(std::is_sorted(tail, sorted.end()),
+                  "threshold selection requires ascending order");
 
     if (options.policy == ThresholdPolicy::FixedFraction)
-        return selectionFromCount(sorted, cap, me);
+        return selectionFromCount(sorted, cap);
+
+    const MeanExcess me =
+        MeanExcess::fromSorted(std::vector<double>(tail, sorted.end()));
+    auto scored = [&](std::size_t count) {
+        ThresholdSelection sel = selectionFromCount(sorted, count);
+        sel.tailLinearity = me.tailLinearity(sel.threshold);
+        return sel;
+    };
 
     // Linearity scan: evaluate candidate exceedance counts between the
     // minimum and the cap, keep the most linear tail. Ties favour more
@@ -107,7 +118,7 @@ selectThresholdFromSorted(const std::vector<double> &sorted,
             (hi - lo) * s / (steps - 1);
         if (count < options.minExceedances || count > cap)
             continue;
-        auto sel = selectionFromCount(sorted, count, me);
+        auto sel = scored(count);
         if (sel.exceedances.size() < options.minExceedances)
             continue;
         if (!have_best || sel.tailLinearity > best.tailLinearity ||
@@ -118,7 +129,7 @@ selectThresholdFromSorted(const std::vector<double> &sorted,
         }
     }
     if (!have_best)
-        return selectionFromCount(sorted, cap, me);
+        return scored(cap);
     return best;
 }
 

@@ -18,6 +18,7 @@
 #define STATSCHED_STATS_THRESHOLD_HH
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 namespace statsched
@@ -57,7 +58,10 @@ struct ThresholdSelection
 {
     double threshold = 0.0;            //!< u
     std::vector<double> exceedances;   //!< y_i = x_i - u, all > 0
-    double tailLinearity = 0.0;        //!< mean-excess R^2 above u
+    /** Mean-excess R^2 above u: the LinearityScan's criterion, NaN
+     *  (not computed) under FixedFraction. A reader that wants it for
+     *  a fixed-fraction pick asks MeanExcess::tailLinearity(). */
+    double tailLinearity = std::numeric_limits<double>::quiet_NaN();
 };
 
 /**
@@ -79,8 +83,12 @@ selectThreshold(const std::vector<double> &sample,
  *
  * Every candidate threshold either policy can pick is an order
  * statistic at or above sorted[n - cap - 1] (cap = exceedanceCap(n)),
- * so the mean-excess function is built over the tail from the first
- * copy of that value up: O(cap) work beyond one order check per value.
+ * so the selection reads only that tail: FixedFraction reads
+ * sorted[n - cap - 1, n), and LinearityScan builds its mean-excess
+ * function from the first copy of sorted[n - cap - 1] up. The order
+ * precondition is checked over the range read, O(cap); the caller
+ * keeps the rest in order (PotAccumulator::extend() checks each value
+ * it places).
  *
  * @param sorted  Observations in ascending order; at least
  *                2 * minExceedances values.

@@ -104,19 +104,29 @@ expectBitIdentical(const PotEstimate &a, const PotEstimate &b,
 
 /**
  * Runs `rounds` extend/estimate cycles and checks the cold accumulator
- * against the from-scratch pipeline after every one.
+ * against the from-scratch pipeline after every one. A positive `grid`
+ * rounds every value to a multiple of it, so values tie.
+ *
+ * @return the number of rounds in which copies of sorted[n - cap - 1],
+ *         the lowest threshold either policy can pick, sit on both
+ *         sides of it.
  */
-void
+std::size_t
 checkColdIdentity(const PotOptions &options, std::size_t initial,
                   std::size_t extension, std::size_t rounds,
-                  std::uint64_t seed)
+                  std::uint64_t seed, double grid = 0.0)
 {
     Rng rng(seed);
     PotAccumulator acc(options, false);
     std::vector<double> cumulative;
+    std::size_t straddled = 0;
     for (std::size_t r = 0; r < rounds; ++r) {
-        const auto batch =
+        auto batch =
             boundedSample(250.0, r == 0 ? initial : extension, rng);
+        if (grid > 0.0) {
+            for (double &x : batch)
+                x = grid * std::round(x / grid);
+        }
         cumulative.insert(cumulative.end(), batch.begin(), batch.end());
         acc.extend(batch);
         auto inc = acc.estimate();
@@ -124,7 +134,18 @@ checkColdIdentity(const PotOptions &options, std::size_t initial,
         const auto scratch =
             estimateOptimalPerformance(cumulative, options);
         expectBitIdentical(inc, scratch, r);
+
+        const auto &sorted = acc.sorted();
+        const std::size_t n = sorted.size();
+        if (n >= 2 * options.threshold.minExceedances) {
+            const std::size_t cut =
+                n - exceedanceCap(n, options.threshold) - 1;
+            if (cut > 0 && sorted[cut - 1] == sorted[cut] &&
+                sorted[cut + 1] == sorted[cut])
+                ++straddled;
+        }
     }
+    return straddled;
 }
 
 TEST(PotAccumulator, ColdBitIdenticalFixedFraction)
@@ -144,6 +165,26 @@ TEST(PotAccumulator, ColdBitIdenticalAcrossSmallSampleRounds)
     // The first rounds are below 2 * minExceedances, so both pipelines
     // must report invalid estimates, then recover identically.
     checkColdIdentity({}, 15, 15, 8, 13);
+}
+
+TEST(PotAccumulator, ColdBitIdenticalWithTiesAtTheCutFixedFraction)
+{
+    // 1,000 values, then 30 rounds of 100, on a grid of 1/16: in most
+    // rounds copies of the lowest candidate threshold sit on both
+    // sides of its index n - cap - 1 (24 of 31 at this seed).
+    const std::size_t straddled =
+        checkColdIdentity({}, 1000, 100, 31, 14, 1.0 / 16.0);
+    EXPECT_GE(straddled, 20u);
+}
+
+TEST(PotAccumulator, ColdBitIdenticalWithTiesAtTheCutLinearityScan)
+{
+    PotOptions options;
+    options.threshold.policy = ThresholdPolicy::LinearityScan;
+    // As above; 25 of 31 rounds straddle at this seed.
+    const std::size_t straddled =
+        checkColdIdentity(options, 1000, 100, 31, 15, 1.0 / 16.0);
+    EXPECT_GE(straddled, 20u);
 }
 
 TEST(PotAccumulator, ShortcutFiresAndStaysBitIdentical)

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/check.hh"
 #include "stats/descriptive.hh"
 #include "stats/gpd.hh"
 #include "stats/mean_excess.hh"
@@ -226,7 +227,17 @@ TEST(Threshold, MatchesFullSampleMeanExcessOracleBitwise)
             const ThresholdSelection want =
                 fullSampleOracle(xs, options);
             EXPECT_TRUE(sameBits(got.threshold, want.threshold));
-            EXPECT_TRUE(sameBits(got.tailLinearity, want.tailLinearity));
+            if (policy == ThresholdPolicy::FixedFraction) {
+                // Not the fixed fraction's criterion, so not computed;
+                // on request it is the oracle's double.
+                EXPECT_TRUE(std::isnan(got.tailLinearity));
+                EXPECT_TRUE(sameBits(
+                    MeanExcess(xs).tailLinearity(got.threshold),
+                    want.tailLinearity));
+            } else {
+                EXPECT_TRUE(
+                    sameBits(got.tailLinearity, want.tailLinearity));
+            }
             ASSERT_EQ(got.exceedances.size(), want.exceedances.size());
             for (std::size_t i = 0; i < want.exceedances.size(); ++i)
                 EXPECT_TRUE(sameBits(got.exceedances[i],
@@ -243,6 +254,37 @@ TEST(Threshold, MatchesFullSampleMeanExcessOracleBitwise)
         EXPECT_EQ(sorted[cut - 1], sorted[cut]) << k;
         EXPECT_EQ(sorted[cut + 1], sorted[cut]) << k;
     }
+}
+
+TEST(Threshold, ChecksTheOrderOfTheTailItReads)
+{
+    // selectThresholdFromSorted() reads sorted[n - cap - 1, n) (the
+    // scan from the first copy of its lowest value), and checks the
+    // ascending order there. Swapping two values inside that range is
+    // a contract violation under either policy.
+    auto sorted = normalSample(1000, 6);
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t n = sorted.size();
+    const std::size_t lowest = n - exceedanceCap(n, {}) - 1;
+    for (const ThresholdPolicy policy :
+         {ThresholdPolicy::FixedFraction,
+          ThresholdPolicy::LinearityScan}) {
+        ThresholdOptions options;
+        options.policy = policy;
+        EXPECT_NO_THROW(selectThresholdFromSorted(sorted, options));
+        for (const std::size_t i : {lowest, n - 2}) {
+            auto swapped = sorted;
+            std::swap(swapped[i], swapped[i + 1]);
+            EXPECT_THROW(selectThresholdFromSorted(swapped, options),
+                         statsched::ContractViolation)
+                << "policy " << static_cast<int>(policy)
+                << ", swapped at " << i;
+        }
+    }
+
+    // The fixed fraction computes no tail linearity.
+    EXPECT_TRUE(std::isnan(selectThresholdFromSorted(sorted, {})
+                               .tailLinearity));
 }
 
 TEST(Threshold, RespectsMinimumExceedances)
