@@ -531,7 +531,7 @@ runScenario(std::size_t initial, std::size_t extension,
             // The round's fits through the gate: cold, and warm from
             // the last converged fit, as PotAccumulator starts it.
             const auto selection = stats::selectThresholdFromSorted(
-                check.sorted(), options.threshold);
+                check.tail(), check.size(), options.threshold);
             const auto &ys = selection.exceedances;
             if (ys.size() < options.threshold.minExceedances)
                 continue;

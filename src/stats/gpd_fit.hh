@@ -13,7 +13,7 @@
  * The search compares likelihoods on a bounded estimate that takes
  * no division per exceedance and one log per evaluation, and sums the
  * exact likelihood only for points whose bounds overlap in a
- * comparison (about a tenth of them on the iterative campaigns). It
+ * comparison (about one in sixteen on the iterative campaigns). It
  * takes the steps, and returns the bits, of a search on the exact
  * likelihood.
  */
@@ -78,7 +78,8 @@ double gpdNegativeLogLikelihood(double xi, double sigma,
  * The exact value comes back, with bound 0, for an infeasible point,
  * in the exponential branch (|xi| < 1e-9), within about 4e-13 of the
  * feasibility boundary, for sigma outside [2^-900, 2^900], when z at
- * yMax exceeds 2^63, and when the estimate or its bound is not finite.
+ * yMax exceeds 2^63, from 2^32 exceedances, and when the estimate or
+ * its bound is not finite.
  *
  * @param exceedances Positive values, as fitGpd() requires.
  * @param yMax        The largest of them.

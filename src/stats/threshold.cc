@@ -24,19 +24,19 @@ namespace
  * statistics; the threshold is placed at the highest excluded value so
  * exactly `count` observations lie strictly above it (ties reduce the
  * count, which keeps the iid exceedance definition exact). Reads
- * sorted[n - count - 1, n) only; tailLinearity stays NaN.
+ * tail[t - count - 1, t) only; tailLinearity stays NaN.
  */
 ThresholdSelection
-selectionFromCount(const std::vector<double> &sorted, std::size_t count)
+selectionFromCount(const std::vector<double> &tail, std::size_t count)
 {
     ThresholdSelection sel;
-    SCHED_REQUIRE(count >= 1 && count < sorted.size(),
+    SCHED_REQUIRE(count >= 1 && count < tail.size(),
                   "invalid exceedance count");
-    const std::size_t cut = sorted.size() - count;
-    sel.threshold = sorted[cut - 1];
+    const std::size_t cut = tail.size() - count;
+    sel.threshold = tail[cut - 1];
     sel.exceedances.reserve(count);
-    for (std::size_t i = cut; i < sorted.size(); ++i) {
-        const double y = sorted[i] - sel.threshold;
+    for (std::size_t i = cut; i < tail.size(); ++i) {
+        const double y = tail[i] - sel.threshold;
         if (y > 0.0)
             sel.exceedances.push_back(y);
     }
@@ -61,11 +61,11 @@ selectThreshold(const std::vector<double> &sample,
 {
     std::vector<double> sorted = sample;
     std::sort(sorted.begin(), sorted.end());
-    return selectThresholdFromSorted(sorted, options);
+    return selectThresholdFromSorted(sorted, sorted.size(), options);
 }
 
 ThresholdSelection
-selectThresholdFromSorted(const std::vector<double> &sorted,
+selectThresholdFromSorted(const std::vector<double> &tail, std::size_t n,
                           const ThresholdOptions &options)
 {
     SCHED_REQUIRE(options.maxExceedanceFraction > 0.0 &&
@@ -73,33 +73,36 @@ selectThresholdFromSorted(const std::vector<double> &sorted,
                   "exceedance fraction out of (0,1)");
     SCHED_REQUIRE(options.minExceedances >= 5,
                   "need at least 5 exceedances for a GPD fit");
-    SCHED_REQUIRE(sorted.size() >= 2 * options.minExceedances,
+    SCHED_REQUIRE(n >= 2 * options.minExceedances,
                   "sample too small for threshold selection");
 
-    const std::size_t cap = exceedanceCap(sorted.size(), options);
+    const std::size_t cap = exceedanceCap(n, options);
+    SCHED_REQUIRE(tail.size() > cap && tail.size() <= n,
+                  "threshold selection needs the top cap + 1 values");
 
-    // The lowest threshold either policy can pick is
-    // sorted[n - cap - 1]. The fixed fraction reads from it up. The
-    // scan's mean excesses and linearity read the values from its
-    // first copy up, and the suffix sums accumulate from the top, so
-    // this tail gives every double the whole sample would. The order
-    // check covers the range read: O(cap), not O(n).
+    // The lowest threshold either policy can pick is the sample's
+    // order statistic n - cap - 1. The fixed fraction reads from it
+    // up. The scan's mean excesses and linearity read the values from
+    // its first copy up, which the tail holds, and the suffix sums
+    // accumulate from the top, so this range gives every double the
+    // whole sample would. The order check covers the range read:
+    // O(cap), not O(n).
     const auto lowest =
-        sorted.end() - static_cast<std::ptrdiff_t>(cap + 1);
-    const auto tail =
+        tail.end() - static_cast<std::ptrdiff_t>(cap + 1);
+    const auto read =
         options.policy == ThresholdPolicy::FixedFraction
             ? lowest
-            : std::lower_bound(sorted.begin(), lowest, *lowest);
-    SCHED_REQUIRE(std::is_sorted(tail, sorted.end()),
+            : std::lower_bound(tail.begin(), lowest, *lowest);
+    SCHED_REQUIRE(std::is_sorted(read, tail.end()),
                   "threshold selection requires ascending order");
 
     if (options.policy == ThresholdPolicy::FixedFraction)
-        return selectionFromCount(sorted, cap);
+        return selectionFromCount(tail, cap);
 
     const MeanExcess me =
-        MeanExcess::fromSorted(std::vector<double>(tail, sorted.end()));
+        MeanExcess::fromSorted(std::vector<double>(read, tail.end()));
     auto scored = [&](std::size_t count) {
-        ThresholdSelection sel = selectionFromCount(sorted, count);
+        ThresholdSelection sel = selectionFromCount(tail, count);
         sel.tailLinearity = me.tailLinearity(sel.threshold);
         return sel;
     };

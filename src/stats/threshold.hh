@@ -76,26 +76,30 @@ selectThreshold(const std::vector<double> &sample,
                 const ThresholdOptions &options = {});
 
 /**
- * Same selection as selectThreshold(), over a sample that is already
- * in ascending order, skipping the O(n log n) sort. Callers that keep
- * the sample sorted incrementally use this; selectThreshold() sorts a
- * copy and delegates here, so the two are one implementation.
+ * Same selection as selectThreshold(), from the top of a sample that
+ * is already in ascending order, skipping the O(n log n) sort. Callers
+ * that keep the sample's top sorted incrementally use this;
+ * selectThreshold() sorts a copy and passes all of it, so the two are
+ * one implementation.
  *
  * Every candidate threshold either policy can pick is an order
- * statistic at or above sorted[n - cap - 1] (cap = exceedanceCap(n)),
- * so the selection reads only that tail: FixedFraction reads
- * sorted[n - cap - 1, n), and LinearityScan builds its mean-excess
- * function from the first copy of sorted[n - cap - 1] up. The order
+ * statistic at or above the sample's order statistic n - cap - 1
+ * (cap = exceedanceCap(n)), so the selection reads only the top cap + 1
+ * values and the copies of the lowest of them: FixedFraction reads
+ * tail[t - cap - 1, t), and LinearityScan builds its mean-excess
+ * function from the first copy of tail[t - cap - 1] up. The order
  * precondition is checked over the range read, O(cap); the caller
  * keeps the rest in order (PotAccumulator::extend() checks each value
  * it places).
  *
- * @param sorted  Observations in ascending order; at least
- *                2 * minExceedances values.
+ * @param tail    The top t of the sample in ascending order, with
+ *                cap < t <= n, holding every copy of its smallest
+ *                value.
+ * @param n       The sample size; at least 2 * minExceedances.
  * @param options Selection policy and limits.
  */
 ThresholdSelection
-selectThresholdFromSorted(const std::vector<double> &sorted,
+selectThresholdFromSorted(const std::vector<double> &tail, std::size_t n,
                           const ThresholdOptions &options = {});
 
 /**

@@ -151,7 +151,11 @@ TEST(GpdFit, BoundedLikelihoodHoldsItsBound)
     // spends its evaluations, over counts around the 64- and 128-value
     // blocks and up to 20,000, both signs of xi, the exponential branch
     // and scales far from 1. More probes sit at the feasibility
-    // boundary, where the smallest z is 10^-k.
+    // boundary, where the smallest z is 10^-k. Every probe runs on the
+    // sample as drawn, in descending order (the largest |log z| first,
+    // so the exact loop's partial sums are near their largest from the
+    // first block on) and rounded up to sixteenths of the scale (most
+    // values tied, in ascending order).
     Rng rng(23);
     std::size_t bounded = 0;
     std::size_t probes = 0;
@@ -159,25 +163,45 @@ TEST(GpdFit, BoundedLikelihoodHoldsItsBound)
          {5, 20, 63, 64, 65, 127, 128, 129, 200, 1500, 3000, 20000}) {
         for (const double xi : {-0.9, -0.5, -0.2, -1e-10, 0.2, 0.4}) {
             const double scale = m % 2 == 0 ? 1e-4 : 1e6;
-            auto ys = synthetic(xi, scale, static_cast<int>(m),
-                                1000 + m);
-            const double y_max = *std::max_element(ys.begin(), ys.end());
-            // Checks one probe; returns whether it came back bounded.
+            auto drawn = synthetic(xi, scale, static_cast<int>(m),
+                                   1000 + m);
+            auto descending = drawn;
+            std::sort(descending.begin(), descending.end(),
+                      [](double a, double b) { return a > b; });
+            auto tied = drawn;
+            for (double &y : tied)
+                y = scale * std::ceil(y / scale * 16.0) / 16.0;
+            std::sort(tied.begin(), tied.end());
+            std::vector<double> flat(m, descending.front());
+
+            // Checks one probe on each sample; returns whether it came
+            // back bounded on the drawn one.
             const auto holds = [&](double px, double ps) {
-                const BoundedValue b =
-                    gpdNegativeLogLikelihoodBounded(px, ps, ys, y_max);
-                const double exact = gpdNegativeLogLikelihood(px, ps, ys);
-                if (b.bound == 0.0) {
-                    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.value),
-                              std::bit_cast<std::uint64_t>(exact))
-                        << "m=" << m << " xi=" << px << " sigma=" << ps;
-                    return false;
+                bool drawn_bounded = false;
+                for (const auto *ys : {&drawn, &descending, &tied, &flat}) {
+                    const double y_max =
+                        *std::max_element(ys->begin(), ys->end());
+                    const BoundedValue b = gpdNegativeLogLikelihoodBounded(
+                        px, ps, *ys, y_max);
+                    const double exact =
+                        gpdNegativeLogLikelihood(px, ps, *ys);
+                    if (b.bound == 0.0) {
+                        EXPECT_EQ(std::bit_cast<std::uint64_t>(b.value),
+                                  std::bit_cast<std::uint64_t>(exact))
+                            << "m=" << m << " xi=" << px
+                            << " sigma=" << ps;
+                        continue;
+                    }
+                    EXPECT_LE(std::fabs(b.value - exact), b.bound)
+                        << "m=" << m << " xi=" << px << " sigma=" << ps
+                        << (ys == &drawn ? ""
+                            : ys == &descending ? " descending"
+                            : ys == &tied ? " tied" : " flat");
+                    drawn_bounded = drawn_bounded || ys == &drawn;
                 }
-                EXPECT_LE(std::fabs(b.value - exact), b.bound)
-                    << "m=" << m << " xi=" << px << " sigma=" << ps;
-                return true;
+                return drawn_bounded;
             };
-            const GpdFit fit = fitGpd(ys);
+            const GpdFit fit = fitGpd(drawn);
             for (int k = 0; k < 63; ++k) {
                 // The last three probes sit on the exponential branch.
                 const double px = k < 60
@@ -189,9 +213,13 @@ TEST(GpdFit, BoundedLikelihoodHoldsItsBound)
                 if (holds(px, ps))
                     ++bounded;
             }
-            for (const double px : {-0.9, -0.5, -0.2}) {
-                for (int k = 4; k <= 15; ++k)
-                    holds(px, -px * y_max * (1.0 + std::pow(10.0, -k)));
+            for (const auto *ys : {&drawn, &tied}) {
+                const double y_max =
+                    *std::max_element(ys->begin(), ys->end());
+                for (const double px : {-0.9, -0.5, -0.2}) {
+                    for (int k = 4; k <= 15; ++k)
+                        holds(px, -px * y_max * (1.0 + std::pow(10.0, -k)));
+                }
             }
         }
     }

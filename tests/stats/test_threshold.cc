@@ -261,7 +261,8 @@ TEST(Threshold, ChecksTheOrderOfTheTailItReads)
     // selectThresholdFromSorted() reads sorted[n - cap - 1, n) (the
     // scan from the first copy of its lowest value), and checks the
     // ascending order there. Swapping two values inside that range is
-    // a contract violation under either policy.
+    // a contract violation under either policy, and so is a tail of
+    // only cap values.
     auto sorted = normalSample(1000, 6);
     std::sort(sorted.begin(), sorted.end());
     const std::size_t n = sorted.size();
@@ -271,19 +272,25 @@ TEST(Threshold, ChecksTheOrderOfTheTailItReads)
           ThresholdPolicy::LinearityScan}) {
         ThresholdOptions options;
         options.policy = policy;
-        EXPECT_NO_THROW(selectThresholdFromSorted(sorted, options));
+        EXPECT_NO_THROW(selectThresholdFromSorted(sorted, n, options));
         for (const std::size_t i : {lowest, n - 2}) {
             auto swapped = sorted;
             std::swap(swapped[i], swapped[i + 1]);
-            EXPECT_THROW(selectThresholdFromSorted(swapped, options),
+            EXPECT_THROW(selectThresholdFromSorted(swapped, n, options),
                          statsched::ContractViolation)
                 << "policy " << static_cast<int>(policy)
                 << ", swapped at " << i;
         }
+        const std::vector<double> short_tail(
+            sorted.begin() + static_cast<std::ptrdiff_t>(lowest + 1),
+            sorted.end());
+        EXPECT_THROW(selectThresholdFromSorted(short_tail, n, options),
+                     statsched::ContractViolation)
+            << "policy " << static_cast<int>(policy);
     }
 
     // The fixed fraction computes no tail linearity.
-    EXPECT_TRUE(std::isnan(selectThresholdFromSorted(sorted, {})
+    EXPECT_TRUE(std::isnan(selectThresholdFromSorted(sorted, n, {})
                                .tailLinearity));
 }
 
