@@ -22,7 +22,8 @@
  * It also reports GPD fits/sec (cold vs warm), the share of likelihood
  * evaluations the fit sums exactly, ns per exceedance of one bounded
  * likelihood estimate and of one exact likelihood sum at the fitted
- * point (the two passes the search chooses between), and ns per fused
+ * point (the two passes the search chooses between; each the median of
+ * 21 timed blocks), and ns per fused
  * profile evaluation for exceedance counts m in {20, 100, 500, 1500},
  * and writes the results to BENCH_estimator.json in the working
  * directory.
@@ -36,6 +37,8 @@
  * Usage: bench_estimator_hotpath [--quick]
  */
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cinttypes>
@@ -566,6 +569,27 @@ exactShare(const stats::GpdFit &fit)
         static_cast<double>(fit.evaluations);
 }
 
+/**
+ * @return the median of 21 timings of `evals` calls of `pass`, in ns
+ *         per value of its m-value sample. One timed block follows the
+ *         host's phase; the median of many lets two runs be compared.
+ */
+template <typename Pass>
+double
+medianNsPerValue(int evals, std::size_t m, Pass pass)
+{
+    std::array<double, 21> ns;
+    for (double &timing : ns) {
+        const auto start = Clock::now();
+        for (int i = 0; i < evals; ++i)
+            pass();
+        timing = seconds(start, Clock::now()) * 1e9 /
+            (static_cast<double>(evals) * static_cast<double>(m));
+    }
+    std::nth_element(ns.begin(), ns.begin() + 10, ns.end());
+    return ns[10];
+}
+
 FitRates
 fitThroughput(std::size_t m, int iters, FitGate &gate)
 {
@@ -601,22 +625,15 @@ fitThroughput(std::size_t m, int iters, FitGate &gate)
         // spends its evaluations.
         const auto fit = stats::fitGpd(ys);
         const double y_max = stats::maximum(ys);
-        const int evals = iters * 50;
-        const double values = static_cast<double>(evals) *
-            static_cast<double>(m);
         double sink = 0.0;
-        auto start = Clock::now();
-        for (int i = 0; i < evals; ++i) {
+        out.boundedNsPerValue = medianNsPerValue(iters * 50, m, [&] {
             sink += stats::gpdNegativeLogLikelihoodBounded(
                         fit.xi, fit.sigma, ys, y_max)
                         .value;
-        }
-        out.boundedNsPerValue =
-            seconds(start, Clock::now()) * 1e9 / values;
-        start = Clock::now();
-        for (int i = 0; i < evals; ++i)
+        });
+        out.exactNsPerValue = medianNsPerValue(iters * 50, m, [&] {
             sink += stats::gpdNegativeLogLikelihood(fit.xi, fit.sigma, ys);
-        out.exactNsPerValue = seconds(start, Clock::now()) * 1e9 / values;
+        });
         if (!std::isfinite(sink))
             std::printf("unexpected non-finite likelihood sum\n");
     }

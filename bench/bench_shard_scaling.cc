@@ -41,14 +41,14 @@
 #include <string>
 #include <vector>
 
+#include "base/cli.hh"
 #include "base/clock.hh"
 #include "bench/harness.hh"
 #include "core/sampler.hh"
 #include "core/shard_protocol.hh"
 #include "core/sharded_engine.hh"
 #include "core/topology.hh"
-#include "sim/benchmarks.hh"
-#include "sim/engine.hh"
+#include "tools/campaign_setup.hh"
 
 namespace
 {
@@ -162,9 +162,15 @@ main(int argc, char **argv)
                 workerPath.c_str(), batchSize, rounds,
                 smoke ? " [smoke]" : "");
 
-    const sim::Workload workload =
-        sim::makeWorkload(sim::Benchmark::IpfwdL1, 8);
-    const std::uint32_t tasks = workload.taskCount();
+    // The workload of a default `statsched_cli iterate`, as the
+    // campaign library declares it.
+    base::OptionParser defaults;
+    tools::addWorkloadOptions(defaults);
+    const tools::Workload workload =
+        tools::workloadOrDie(argv[0], defaults, t2);
+    tools::Substrate baseline(workload);
+    const std::uint32_t tasks =
+        baseline.simulated.workload().taskCount();
 
     // The same deterministic batch sequence for every configuration.
     std::vector<std::vector<core::Assignment>> batches;
@@ -175,45 +181,34 @@ main(int argc, char **argv)
         batches.push_back(sampler.drawSample(batchSize));
     }
 
-    // The worker's engine configuration, echoed as the handshake
-    // fingerprint — mirrors what statsched iterate sends.
-    const std::string engineConfig = "ipfwd-l1|8|0|0|0|0|1024023";
-    const std::uint64_t fingerprint =
-        core::shardConfigFingerprint(engineConfig);
-    const std::vector<std::string> workerArgv = {
-        workerPath,
-        "--benchmark", "ipfwd-l1",
-        "--instances", "8",
-        "--config-hash", std::to_string(fingerprint),
-    };
+    // The workers run `statsched_cli iterate`'s worker command line
+    // and must echo its fingerprint in their Hello.
+    const std::vector<std::string> workerArgv =
+        workload.workerArgv(workerPath);
     base::SteadyClock clock;
     const auto shardedOptions = [&](std::size_t shards) {
         core::ShardedOptions options;
         options.shards = shards;
         options.requestDeadlineSeconds = 30.0;
-        options.expected.configHash = fingerprint;
-        options.expected.cores = t2.cores;
-        options.expected.pipesPerCore = t2.pipesPerCore;
-        options.expected.strandsPerPipe = t2.strandsPerPipe;
-        options.expected.tasks = tasks;
+        options.expected = core::ShardHello::forCampaign(
+            t2, tasks, workload.fingerprint());
         options.clock = &clock;
         return options;
     };
 
     bench::section("in-process baseline");
-    sim::SimulatedEngine baseline(workload);
     const ModeResult inproc =
-        runMode(baseline, batches, {}, nullptr, 0);
+        runMode(baseline.engine(), batches, {}, nullptr, 0);
     std::printf("inproc            %10.0f meas/s\n",
                 inproc.measPerSec);
 
     // Re-run the baseline's outcomes as the bit reference.
     std::vector<MeasurementOutcome> reference;
     {
-        sim::SimulatedEngine ref(workload);
+        tools::Substrate ref(workload);
         for (const auto &batch : batches) {
             std::vector<MeasurementOutcome> out(batch.size());
-            ref.measureBatchOutcome(batch, out);
+            ref.engine().measureBatchOutcome(batch, out);
             reference.insert(reference.end(), out.begin(),
                              out.end());
         }
@@ -228,9 +223,10 @@ main(int argc, char **argv)
     };
     std::vector<Row> scaling;
     for (const std::size_t shards : {1, 2, 4}) {
-        sim::SimulatedEngine inner(workload);
+        tools::Substrate inner(workload);
         core::ShardedEngine sharded(
-            inner, core::makeProcessShardFactory(workerArgv, clock),
+            inner.engine(),
+            core::makeProcessShardFactory(workerArgv, clock),
             shardedOptions(shards));
         const ModeResult r =
             runMode(sharded, batches, reference, nullptr, 0);
@@ -249,9 +245,10 @@ main(int argc, char **argv)
     bench::section("fault tolerance: worker kill on ~10% of batches");
     ModeResult chaos;
     {
-        sim::SimulatedEngine inner(workload);
+        tools::Substrate inner(workload);
         core::ShardedEngine sharded(
-            inner, core::makeProcessShardFactory(workerArgv, clock),
+            inner.engine(),
+            core::makeProcessShardFactory(workerArgv, clock),
             shardedOptions(4));
         chaos = runMode(sharded, batches, reference, &sharded,
                         killEvery);

@@ -10,12 +10,27 @@
 
 #include "base/check.hh"
 #include "base/clock.hh"
-#include "core/memoizing_engine.hh"
 
 namespace statsched
 {
 namespace core
 {
+
+UpperDecorators::UpperDecorators(PerformanceEngine &inner, bool resilient,
+                                 const ResilientOptions &resilience,
+                                 bool memoize, base::WorkerPool *pool)
+{
+    PerformanceEngine *below = &inner;
+    if (resilient) {
+        resilient_.emplace(*below, resilience);
+        below = &*resilient_;
+    }
+    if (memoize) {
+        memoizing_.emplace(*below, pool);
+        below = &*memoizing_;
+    }
+    metered_.emplace(*below);
+}
 
 CampaignResult
 runCampaign(PerformanceEngine &engine, const Topology &topology,
@@ -80,22 +95,12 @@ runCampaign(PerformanceEngine &engine, const Topology &topology,
         }
     }
 
-    // Upper decorators, in the sanctioned order (see
-    // performance_engine.hh): Metered(Memoizing(Resilient(journal))).
-    PerformanceEngine *stack =
-        journaling ? static_cast<PerformanceEngine *>(&*journaling)
-                   : &engine;
-    std::optional<ResilientEngine> resilient;
-    if (options.resilient) {
-        resilient.emplace(*stack, options.resilience);
-        stack = &*resilient;
-    }
-    std::optional<MemoizingEngine> memoizing;
-    if (options.memoize) {
-        memoizing.emplace(*stack, options.iterative.pool);
-        stack = &*memoizing;
-    }
-    MeteredEngine metered(*stack);
+    UpperDecorators upper(
+        journaling ? static_cast<PerformanceEngine &>(*journaling)
+                   : engine,
+        options.resilient, options.resilience, options.memoize,
+        options.iterative.pool);
+    MeteredEngine &metered = upper.top();
 
     const double startSeconds =
         options.clock != nullptr ? options.clock->nowSeconds() : 0.0;

@@ -34,11 +34,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "core/health.hh"
 #include "core/iterative.hh"
 #include "core/journal.hh"
+#include "core/memoizing_engine.hh"
 #include "core/resilient_engine.hh"
 
 namespace statsched
@@ -107,6 +109,30 @@ struct CampaignOptions
     bool resilient = false;
     /** Configuration of the resilient layer when enabled. */
     ResilientOptions resilience;
+};
+
+/**
+ * The decorators above the journal, in the sanctioned order
+ * (performance_engine.hh): Metered([Memoizing]([Resilient](inner))).
+ * runCampaign builds them over its journal, a command without a
+ * campaign over its substrate; no layer of their own joins the path.
+ */
+class UpperDecorators
+{
+  public:
+    /** @param inner Engine to wrap; not owned.
+     *  @param pool  Computes the memo's keys; not owned, may be null. */
+    UpperDecorators(PerformanceEngine &inner, bool resilient,
+                    const ResilientOptions &resilience, bool memoize,
+                    base::WorkerPool *pool);
+
+    MeteredEngine &top() { return *metered_; }
+    bool memoizing() const { return memoizing_.has_value(); }
+
+  private:
+    std::optional<ResilientEngine> resilient_;
+    std::optional<MemoizingEngine> memoizing_;
+    std::optional<MeteredEngine> metered_;
 };
 
 /**

@@ -25,16 +25,29 @@ captureProbability(double percent, std::uint64_t n)
     return -std::expm1(static_cast<double>(n) * log_miss);
 }
 
-std::uint64_t
-requiredSampleSize(double percent, double target)
+std::optional<std::uint64_t>
+requiredSampleSizeIfFits(double percent, double target)
 {
     SCHED_REQUIRE(percent > 0.0 && percent < 100.0,
                   "percent out of (0,100)");
     SCHED_REQUIRE(target > 0.0 && target < 1.0,
                   "target probability out of (0,1)");
     const double log_miss = std::log1p(-percent / 100.0);
-    const double n = std::log1p(-target) / log_miss;
-    return static_cast<std::uint64_t>(std::ceil(n - 1e-12));
+    // +inf when percent / 100 underflows and log_miss is -0.
+    const double n = std::ceil(std::log1p(-target) / log_miss - 1e-12);
+    if (!(n < 0x1p64))
+        return std::nullopt;
+    return static_cast<std::uint64_t>(n);
+}
+
+std::uint64_t
+requiredSampleSize(double percent, double target)
+{
+    const std::optional<std::uint64_t> n =
+        requiredSampleSizeIfFits(percent, target);
+    SCHED_REQUIRE(n.has_value(),
+                  "the sample size does not fit in 64 bits");
+    return *n;
 }
 
 std::vector<std::pair<std::uint64_t, double>>

@@ -18,6 +18,7 @@
 #define STATSCHED_CORE_CAPTURE_PROBABILITY_HH
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -37,11 +38,16 @@ double captureProbability(double percent, std::uint64_t n);
 
 /**
  * Smallest sample size n with captureProbability(percent, n) >=
- * target.
+ * target, or nothing when n does not fit in 64 bits (at target 0.99,
+ * for a `percent` below about 2.5e-17).
  *
  * @param percent Top fraction in percent, 0 < percent < 100.
  * @param target  Target probability in (0, 1).
  */
+std::optional<std::uint64_t> requiredSampleSizeIfFits(double percent,
+                                                      double target);
+
+/** requiredSampleSizeIfFits(percent, target), which must exist. */
 std::uint64_t requiredSampleSize(double percent, double target);
 
 /**

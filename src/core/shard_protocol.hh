@@ -125,6 +125,21 @@ struct ShardHello
     std::uint32_t pipesPerCore = 0;
     std::uint32_t strandsPerPipe = 0;
     std::uint32_t tasks = 0;
+
+    /** @return the Hello of a worker serving `tasks` tasks on
+     *  `topology` for the engine configuration `configHash`. */
+    static ShardHello
+    forCampaign(const Topology &topology, std::uint32_t tasks,
+                std::uint64_t configHash)
+    {
+        ShardHello hello;
+        hello.configHash = configHash;
+        hello.cores = topology.cores;
+        hello.pipesPerCore = topology.pipesPerCore;
+        hello.strandsPerPipe = topology.strandsPerPipe;
+        hello.tasks = tasks;
+        return hello;
+    }
 };
 
 /** Header of an evaluation request group. */

@@ -29,15 +29,9 @@ ShardWorker::ShardWorker(PerformanceEngine &engine,
 std::vector<std::uint8_t>
 ShardWorker::helloBytes() const
 {
-    ShardHello hello;
-    hello.version = kShardProtocolVersion;
-    hello.configHash = configHash_;
-    hello.cores = topology_.cores;
-    hello.pipesPerCore = topology_.pipesPerCore;
-    hello.strandsPerPipe = topology_.strandsPerPipe;
-    hello.tasks = tasks_;
     std::vector<std::uint8_t> out;
-    appendHello(out, hello);
+    appendHello(out,
+                ShardHello::forCampaign(topology_, tasks_, configHash_));
     return out;
 }
 

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
+#include "base/check.hh"
 #include "core/capture_probability.hh"
 
 namespace
@@ -74,6 +76,23 @@ TEST(RequiredSampleSize, InvertsTheProbability)
                     << "p=" << p << " target=" << target;
             }
         }
+    }
+}
+
+TEST(RequiredSampleSize, RefusesACountPast64Bits)
+{
+    // The top 1e-16 percent needs about 4.6e18 draws, which fit...
+    EXPECT_EQ(requiredSampleSize(1e-16, 0.99), 4605170185988089856ull);
+    EXPECT_EQ(requiredSampleSizeIfFits(1e-16, 0.99),
+              4605170185988089856ull);
+    // ...the top 1e-20 percent about 4.6e22, which do not, and a
+    // percent whose hundredth underflows to 0 infinitely many.
+    for (const double percent : {1e-20, 5e-324}) {
+        EXPECT_EQ(requiredSampleSizeIfFits(percent, 0.99), std::nullopt)
+            << percent;
+        EXPECT_THROW(requiredSampleSize(percent, 0.99),
+                     statsched::ContractViolation)
+            << percent;
     }
 }
 

@@ -21,8 +21,8 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "base/cli.hh"
 #include "base/clock.hh"
@@ -33,35 +33,19 @@
 #include "core/capture_probability.hh"
 #include "core/enumerator.hh"
 #include "core/estimator.hh"
-#include "core/fault_injection.hh"
-#include "core/iterative.hh"
-#include "core/memoizing_engine.hh"
 #include "core/parallel_engine.hh"
-#include "core/record_codec.hh"
-#include "core/resilient_engine.hh"
-#include "core/shard_protocol.hh"
 #include "core/sharded_engine.hh"
 #include "num/duration.hh"
 #include "sim/benchmarks.hh"
 #include "sim/engine.hh"
-
-#include "engine_flags.hh"
+#include "tools/campaign_setup.hh"
 
 namespace
 {
 
 using namespace statsched;
 using base::OptionParser;
-
-/**
- * The largest count --samples, --ninit, --ndelta, --max and --draws
- * accept: 2^32 draws. A round draws its whole batch of assignments up
- * front, and the estimator keeps every measurement twice, so a sample
- * this large already needs more than 100 GiB. A larger count that fits
- * a long made the up-front vector::reserve throw std::length_error
- * (exit 134); the parser now refuses it with exit 2.
- */
-constexpr double maxSampleCount = 0x1p32;
+using tools::maxSampleCount;
 
 /**
  * @return --topology "CxPxS": three positive integers whose product,
@@ -95,96 +79,31 @@ topologyOrDie(const char *command, const OptionParser &args)
     return topo;
 }
 
-/** Declares the options shared by every measurement command. */
-void
-addEngineOptions(OptionParser &parser)
-{
-    tools::addWorkloadFlags(parser);
-    parser.addInt("threads", "0",
-                  "pool threads that measure, draw the samples and "
-                  "compute memo keys (0 = all cpus but one)",
-                  0, std::numeric_limits<unsigned>::max());
-    parser.addFlag("no-memoize",
-                   "measure duplicate assignments afresh");
-    // The attempt count, retries + 1, must fit its 32 bits.
-    parser.addInt("retries", "3", "retry attempts per failed measurement",
-                  0, std::numeric_limits<std::uint32_t>::max() - 1);
-}
-
 /**
- * The standard measurement stack (performance_engine.hh ordering):
- * Metered(Memoizing?(Resilient?(Parallel(FaultInjecting?(Sim))))).
- * Fault injection (when any --fault-* rate is set) corrupts
- * measurements deterministically; the pool fans batches out; the
- * resilient layer retries and quarantines; memoization dedups each
- * batch; the meter on top sees every requested measurement.
+ * Parallel(FaultInjecting?(Sim)), below the upper decorators or the
+ * campaign runner. The pool fans batches out, and also draws the
+ * samples and computes the memo keys, one after another.
  */
 struct EngineStack
 {
-    /** The retry policy of the resilient layer (--retries). */
-    core::ResilientOptions resilience;
-    std::unique_ptr<sim::SimulatedEngine> simulated;
-    std::unique_ptr<core::FaultInjectingEngine> faulty;
-    std::unique_ptr<core::ParallelEngine> parallel;
-    std::unique_ptr<core::ResilientEngine> resilient;
-    std::unique_ptr<core::MemoizingEngine> memoizing;
-    std::unique_ptr<core::MeteredEngine> metered;
+    tools::Substrate substrate;
+    core::ParallelEngine parallel;
 
-    core::PerformanceEngine &top() { return *metered; }
-    const sim::SimulatedEngine &sim() const { return *simulated; }
-
-    /** The below-journal substrate (Parallel(Fault?(Sim))) for
-     *  commands that let core::runCampaign own the upper layers. */
-    core::PerformanceEngine &substrate() { return *parallel; }
+    explicit EngineStack(const tools::EngineConfig &config)
+        : substrate(config.workload),
+          parallel(substrate.engine(), config.threads)
+    {
+    }
 };
 
-/**
- * @param topo            The chip the workload must fit.
- * @param withUpperLayers false builds only the measurement substrate
- *        (sim + faults + pool); the campaign runner then adds the
- *        resilient/memoizing/metered layers itself, above its
- *        journal.
- */
-EngineStack
-makeEngineStack(const OptionParser &args, const core::Topology &topo,
-                bool withUpperLayers = true)
+/** @return Metered(Memoizing?(Resilient?(stack))) as `config` asks;
+ *  the resilient layer retries and quarantines injected faults. */
+core::UpperDecorators
+upperDecorators(EngineStack &stack, const tools::EngineConfig &config)
 {
-    const sim::Benchmark benchmark =
-        tools::benchmarkOrDie("engine", args.get("benchmark"));
-    const std::uint32_t instances =
-        tools::instancesOrDie("engine", args, benchmark, topo);
-    const core::FaultOptions faults =
-        tools::faultOptionsOrDie("engine", args);
-
-    EngineStack stack;
-    stack.resilience.maxAttempts =
-        static_cast<std::uint32_t>(args.getInt("retries")) + 1;
-    stack.simulated = std::make_unique<sim::SimulatedEngine>(
-        sim::makeWorkload(benchmark, instances));
-    core::PerformanceEngine *below = stack.simulated.get();
-    if (faults.totalRate() > 0.0) {
-        stack.faulty = std::make_unique<core::FaultInjectingEngine>(
-            *below, faults);
-        below = stack.faulty.get();
-    }
-    stack.parallel = std::make_unique<core::ParallelEngine>(
-        *below, static_cast<unsigned>(args.getInt("threads")));
-    below = stack.parallel.get();
-    if (!withUpperLayers)
-        return stack;
-    if (stack.faulty) {
-        stack.resilient = std::make_unique<core::ResilientEngine>(
-            *below, stack.resilience);
-        below = stack.resilient.get();
-    }
-    if (!args.flag("no-memoize")) {
-        stack.memoizing =
-            std::make_unique<core::MemoizingEngine>(
-                *below, &stack.parallel->pool());
-        below = stack.memoizing.get();
-    }
-    stack.metered = std::make_unique<core::MeteredEngine>(*below);
-    return stack;
+    return core::UpperDecorators(
+        stack.parallel, stack.substrate.faulty.has_value(),
+        config.resilience, config.memoize, &stack.parallel.pool());
 }
 
 void
@@ -192,7 +111,7 @@ printEngineStats(std::FILE *out, const EngineStack &stack,
                  const core::EngineStats &stats, bool memoize)
 {
     std::fprintf(out, "engine: %u thread(s), memoize %s\n",
-                 stack.parallel->threads(), memoize ? "on" : "off");
+                 stack.parallel.threads(), memoize ? "on" : "off");
     std::fprintf(out, "measurements:       %12llu in %llu batches\n",
                  static_cast<unsigned long long>(stats.measurements),
                  static_cast<unsigned long long>(stats.batches));
@@ -205,8 +124,8 @@ printEngineStats(std::FILE *out, const EngineStack &stack,
                      static_cast<unsigned long long>(
                          stats.cacheHits + stats.cacheMisses));
     }
-    if (stack.faulty || stats.failures != 0 || stats.retries != 0 ||
-        stats.quarantined != 0) {
+    if (stack.substrate.faulty || stats.failures != 0 ||
+        stats.retries != 0 || stats.quarantined != 0) {
         std::fprintf(out,
                      "failed attempts:    %12llu  (retried %llu, "
                      "quarantined %llu)\n",
@@ -266,14 +185,7 @@ printEngineStats(std::FILE *out, const EngineStack &stack,
                  "modeled time:       %11.1f min "
                  "(at %.1f s per real measurement)\n",
                  stats.modeledSeconds / 60.0,
-                 stack.sim().secondsPerMeasurement());
-}
-
-void
-printEngineReport(const EngineStack &stack)
-{
-    printEngineStats(stdout, stack, stack.metered->stats(),
-                     stack.memoizing != nullptr);
+                 stack.substrate.simulated.secondsPerMeasurement());
 }
 
 int
@@ -321,12 +233,22 @@ cmdCapture(int argc, char **argv)
                     percent, n,
                     core::captureProbability(
                         percent, static_cast<std::uint64_t>(n)));
-    } else {
-        std::printf("draws for P(capture top %.2f%%) >= %.4f: "
-                    "%llu\n", percent, target,
-                    static_cast<unsigned long long>(
-                        core::requiredSampleSize(percent, target)));
+        return 0;
     }
+    const std::optional<std::uint64_t> draws =
+        core::requiredSampleSizeIfFits(percent, target);
+    if (!draws) {
+        std::fprintf(stderr,
+                     "capture: '--percent' %s is too small: the draws "
+                     "for a capture probability of %s do not fit in 64 "
+                     "bits\n",
+                     args.get("percent").c_str(),
+                     args.get("target").c_str());
+        return 2;
+    }
+    std::printf("draws for P(capture top %.2f%%) >= %.4f: %llu\n",
+                percent, target,
+                static_cast<unsigned long long>(*draws));
     return 0;
 }
 
@@ -365,33 +287,37 @@ int
 cmdBaselines(int argc, char **argv)
 {
     OptionParser args;
-    addEngineOptions(args);
+    tools::addEngineOptions(args);
     args.addInt("seed", "1", "sampler seed");
     args.addInt("draws", "1000", "random draws for the mean", 1,
                 maxSampleCount);
     tools::parseOrDie("baselines", args, argc, argv, 2);
 
     const core::Topology topo = core::Topology::ultraSparcT2();
-    EngineStack stack = makeEngineStack(args, topo);
-    const std::uint32_t tasks = stack.sim().workload().taskCount();
+    const tools::EngineConfig config =
+        tools::engineConfigOrDie("engine", args, topo);
+    EngineStack stack(config);
+    core::UpperDecorators upper = upperDecorators(stack, config);
+    const std::uint32_t tasks =
+        stack.substrate.simulated.workload().taskCount();
 
     const double naive = core::naiveExpectedPerformance(
-        stack.top(), topo, tasks,
+        upper.top(), topo, tasks,
         static_cast<std::size_t>(args.getInt("draws")),
         static_cast<std::uint64_t>(args.getInt("seed")));
-    const double linux_like = stack.top().measure(
+    const double linux_like = upper.top().measure(
         core::linuxLikeAssignment(topo, tasks));
-    const double packed = stack.top().measure(
+    const double packed = upper.top().measure(
         core::packedAssignment(topo, tasks));
-    std::printf("%s, %ld instances (%u tasks) on %s\n",
-                sim::benchmarkName(tools::benchmarkOrDie(
-                    "baselines", args.get("benchmark"))).c_str(),
-                args.getInt("instances"), tasks,
+    std::printf("%s, %u instances (%u tasks) on %s\n",
+                sim::benchmarkName(config.workload.benchmark).c_str(),
+                config.workload.instances, tasks,
                 topo.shapeString().c_str());
     std::printf("naive (random mean):  %12.0f PPS\n", naive);
     std::printf("Linux-like balanced:  %12.0f PPS\n", linux_like);
     std::printf("packed (pessimal):    %12.0f PPS\n", packed);
-    printEngineReport(stack);
+    printEngineStats(stdout, stack, upper.top().stats(),
+                     upper.memoizing());
     return 0;
 }
 
@@ -399,7 +325,7 @@ int
 cmdEstimate(int argc, char **argv)
 {
     OptionParser args;
-    addEngineOptions(args);
+    tools::addEngineOptions(args);
     args.addInt("samples", "2000", "random assignments to draw", 1,
                 maxSampleCount);
     args.addInt("seed", "42", "sampler seed");
@@ -412,16 +338,20 @@ cmdEstimate(int argc, char **argv)
     const long seed = args.getInt("seed");
     const core::Topology topo = core::Topology::ultraSparcT2();
 
-    EngineStack stack = makeEngineStack(args, topo);
+    const tools::EngineConfig config =
+        tools::engineConfigOrDie("engine", args, topo);
+    EngineStack stack(config);
+    core::UpperDecorators upper = upperDecorators(stack, config);
     core::OptimalPerformanceEstimator estimator(
-        stack.top(), topo, stack.sim().workload().taskCount(),
+        upper.top(), topo,
+        stack.substrate.simulated.workload().taskCount(),
         static_cast<std::uint64_t>(seed), {}, !args.flag("cold-fits"),
-        &stack.parallel->pool());
+        &stack.parallel.pool());
     const auto result =
         estimator.extend(static_cast<std::size_t>(samples));
 
     std::printf("%s: %ld random assignments (seed %ld)\n",
-                stack.top().name().c_str(), samples, seed);
+                upper.top().name().c_str(), samples, seed);
     std::printf("best observed:      %12.0f PPS\n",
                 result.bestObserved);
     if (result.pot.valid) {
@@ -444,176 +374,30 @@ cmdEstimate(int argc, char **argv)
         std::printf("best assignment:    %s\n",
                     result.bestAssignment->toString().c_str());
     }
-    printEngineReport(stack);
+    printEngineStats(stdout, stack, upper.top().stats(),
+                     upper.memoizing());
     return 0;
-}
-
-/**
- * Exit-code map of the iterate command (documented in cmdHelp and
- * README): a campaign that did not deliver its target must not exit
- * 0, and the distinct codes let scripts distinguish "search gave up"
- * from "operator/budget stopped it".
- */
-int
-campaignExitCode(const core::CampaignResult &result)
-{
-    if (!result.ran || !result.journalError.empty())
-        return 2; // unusable/mismatched/diverged journal
-    switch (result.search.abortKind) {
-      case core::AbortKind::None:
-        break;
-      case core::AbortKind::EngineFailure:
-        return 4; // dead engine / everything quarantined
-      case core::AbortKind::Interrupted:
-        return 5; // SIGINT/SIGTERM, checkpointed
-      case core::AbortKind::DeadlineExceeded:
-      case core::AbortKind::BudgetExhausted:
-      case core::AbortKind::RoundLimit:
-        return 6; // budget stop, checkpointed
-    }
-    return result.search.satisfied ? 0 : 3; // 3: hit the sample cap
 }
 
 int
 cmdIterate(int argc, char **argv)
 {
     OptionParser args;
-    addEngineOptions(args);
-    args.addReal("loss", "2.5", "acceptable loss percent", 0, 100,
-                 OptionParser::Open);
-    args.addInt("seed", "7", "sampler seed");
-    args.addInt("ninit", "1000", "initial sample size", 1,
-                maxSampleCount);
-    args.addInt("ndelta", "100", "per-iteration increment", 1,
-                maxSampleCount);
-    args.addInt("max", "20000", "total sample cap", 1, maxSampleCount);
-    args.addFlag("confident",
-                 "stop against the upper CI bound of the UPB (builds "
-                 "the CI every round: about twice the estimator's "
-                 "time)");
-    args.addFlag("cold-fits",
-                 "restart every GPD fit from the moment estimate "
-                 "(bit-identical to from-scratch estimation)");
-    args.addOption("journal", "",
-                   "crash-safe measurement journal path");
-    args.addFlag("resume",
-                 "resume a campaign from its --journal file");
-    args.addOption("journal-on-error", "abort",
-                   "journal media failure policy: abort | degrade "
-                   "(drop to memory-only recording)");
-    args.addInt("journal-fault-at", "0",
-                "chaos: fail journal writes after N bytes (0 = off)", 0);
-    args.addReal("audit-fraction", "0",
-                 "fraction of sharded measurements duplicated to a "
-                 "second worker for Byzantine auditing", 0, 1);
-    args.addInt("chaos-garbage-shard", "-1",
-                "chaos: give this shard slot a value-corrupting "
-                "worker (-1 = none)", -1);
-    args.addReal("deadline-s", "0",
-                 "wall-clock budget in seconds (0 = none)", 0);
-    args.addInt("max-measurements", "0", "measurement budget (0 = none)",
-                0);
-    args.addInt("max-rounds", "0", "round budget (0 = none)", 0);
-    args.addInt("shards", "0",
-                "measurement worker processes (0 = in-process)", 0);
-    // A worker's send stall is bounded by its milliseconds, an int.
-    args.addReal("shard-deadline-s", "30",
-                 "per-request worker deadline in seconds", 0, 2147483,
-                 OptionParser::Open);
-    args.addOption("worker", "",
-                   "worker binary (default: statsched_worker next "
-                   "to this binary)");
+    tools::addIterateOptions(args);
     tools::parseOrDie("iterate", args, argc, argv, 2);
 
-    const double loss = args.getDouble("loss");
     const core::Topology topo = core::Topology::ultraSparcT2();
+    tools::IterateCampaign c = tools::iterateCampaignOrDie(
+        args, topo,
+        (std::filesystem::path(argv[0]).parent_path() /
+         "statsched_worker").string());
 
-    if (args.flag("resume") && args.get("journal").empty()) {
-        std::fprintf(stderr,
-                     "iterate: '--resume' requires '--journal'\n");
-        return 2;
-    }
-    const long shards = args.getInt("shards");
-    const double shardDeadline = args.getDouble("shard-deadline-s");
-    const std::string onErrorName = args.get("journal-on-error");
-    core::JournalErrorPolicy onError;
-    if (onErrorName == "abort") {
-        onError = core::JournalErrorPolicy::Abort;
-    } else if (onErrorName == "degrade") {
-        onError = core::JournalErrorPolicy::Degrade;
-    } else {
-        std::fprintf(stderr, "iterate: '--journal-on-error' must be "
-                     "'abort' or 'degrade' (got %s)\n",
-                     onErrorName.c_str());
-        return 2;
-    }
-    const long journalFaultAt = args.getInt("journal-fault-at");
-    const long garbageShard = args.getInt("chaos-garbage-shard");
-    if (garbageShard >= shards) {
-        std::fprintf(stderr, "iterate: '--chaos-garbage-shard' must "
-                     "name a slot below '--shards'\n");
-        return 2;
-    }
-
-    // The campaign runner owns the upper decorators (so its journal
-    // can sit between them and the measurement substrate); the CLI
-    // only builds Parallel(Fault?(Sim)).
-    EngineStack stack =
-        makeEngineStack(args, topo, /*withUpperLayers=*/false);
-
-    core::CampaignOptions campaign;
-    campaign.iterative.acceptableLoss = loss / 100.0;
-    campaign.iterative.initialSample =
-        static_cast<std::size_t>(args.getInt("ninit"));
-    campaign.iterative.incrementSample =
-        static_cast<std::size_t>(args.getInt("ndelta"));
-    campaign.iterative.maxSample =
-        static_cast<std::size_t>(args.getInt("max"));
-    campaign.iterative.useUpperConfidenceBound =
-        args.flag("confident");
-    campaign.iterative.warmStartFits = !args.flag("cold-fits");
-    // The measuring pool also draws the samples and keys the memo;
-    // the three run one after another, never at once.
-    campaign.iterative.pool = &stack.parallel->pool();
-
-    campaign.journalPath = args.get("journal");
-    campaign.resume = args.flag("resume");
-    // Failure-domain knobs: operational only, deliberately OUT of the
-    // campaign identity hash — a resumed run may change its error
-    // policy or auditing without losing its journal.
-    campaign.journalOnError = onError;
-    if (journalFaultAt > 0) {
-        auto plan = std::make_shared<base::io::FaultPlan>();
-        plan->failAfterBytes =
-            static_cast<std::uint64_t>(journalFaultAt);
-        campaign.journalSinkFactory =
-            base::io::faultInjectingFileSinkFactory(std::move(plan));
-    }
-    campaign.deadlineSeconds = args.getDouble("deadline-s");
-    campaign.maxMeasurements =
-        static_cast<std::uint64_t>(args.getInt("max-measurements"));
-    campaign.maxRounds =
-        static_cast<std::size_t>(args.getInt("max-rounds"));
-    campaign.memoize = !args.flag("no-memoize");
-    campaign.resilient = stack.faulty != nullptr;
-    campaign.resilience = stack.resilience;
-
-    // Identity hash: everything that steers measurement results or
-    // the search trajectory (threads deliberately excluded — the
-    // results are bit-identical under any thread count; budgets and
-    // deadlines excluded — tightening or dropping them across a
-    // resume is legitimate).
-    campaign.configHash = core::fnv1a64(
-        args.get("benchmark") + "|" + args.get("instances") + "|" +
-        args.get("fault-rate") + "|" + args.get("fault-garbage") +
-        "|" + args.get("fault-outlier") + "|" +
-        args.get("fault-hang") + "|" + args.get("fault-seed") + "|" +
-        args.get("retries") + "|" + args.get("loss") + "|" +
-        args.get("ninit") + "|" + args.get("ndelta") + "|" +
-        args.get("max") + "|" +
-        (args.flag("confident") ? "c1" : "c0") + "|" +
-        (args.flag("cold-fits") ? "f1" : "f0") + "|" +
-        (args.flag("no-memoize") ? "m0" : "m1"));
+    // The campaign runner owns the upper decorators, so that its
+    // journal sits between them and the measurement substrate; the
+    // CLI builds only Parallel(Fault?(Sim)).
+    EngineStack stack(c.engine);
+    core::CampaignOptions &campaign = c.campaign;
+    campaign.iterative.pool = &stack.parallel.pool();
 
     // Wall clock and signals are injected here, at the edge: src/core
     // stays deterministic (see the statsched-wallclock lint rule).
@@ -635,105 +419,33 @@ cmdIterate(int argc, char **argv)
     campaign.health = &health;
 
     // --shards N fans measurement batches out to N statsched_worker
-    // subprocesses below the journal (Sharded over the substrate);
-    // results are bit-identical for every N, so the shard flags stay
-    // out of the campaign identity hash, and a journal written
-    // sharded resumes unsharded (and vice versa).
-    const std::uint32_t tasks = stack.sim().workload().taskCount();
+    // subprocesses below the journal (Sharded over the substrate).
+    const std::uint32_t tasks =
+        stack.substrate.simulated.workload().taskCount();
     std::unique_ptr<core::ShardedEngine> sharded;
-    if (shards > 0) {
-        std::string workerPath = args.get("worker");
-        if (workerPath.empty()) {
-            workerPath = (std::filesystem::path(argv[0])
-                              .parent_path() /
-                          "statsched_worker")
-                             .string();
-        }
-        const std::string engineConfig = args.get("benchmark") + "|" +
-            args.get("instances") + "|" + args.get("fault-rate") +
-            "|" + args.get("fault-garbage") + "|" +
-            args.get("fault-outlier") + "|" +
-            args.get("fault-hang") + "|" + args.get("fault-seed");
-        const std::uint64_t fingerprint =
-            core::shardConfigFingerprint(engineConfig);
-        const std::vector<std::string> workerArgv = {
-            workerPath,
-            "--benchmark", args.get("benchmark"),
-            "--instances", args.get("instances"),
-            "--fault-rate", args.get("fault-rate"),
-            "--fault-garbage", args.get("fault-garbage"),
-            "--fault-outlier", args.get("fault-outlier"),
-            "--fault-hang", args.get("fault-hang"),
-            "--fault-seed", args.get("fault-seed"),
-            "--config-hash", std::to_string(fingerprint),
-        };
-        core::ShardedOptions sharding;
-        sharding.shards = static_cast<std::size_t>(shards);
-        sharding.requestDeadlineSeconds = shardDeadline;
-        sharding.expected.configHash = fingerprint;
-        sharding.expected.cores = topo.cores;
-        sharding.expected.pipesPerCore = topo.pipesPerCore;
-        sharding.expected.strandsPerPipe = topo.strandsPerPipe;
-        sharding.expected.tasks = tasks;
-        sharding.clock = &clock;
-        sharding.auditFraction = args.getDouble("audit-fraction");
-        sharding.auditSeed =
-            static_cast<std::uint64_t>(args.getInt("seed"));
-        sharding.health = &health;
-        // Chaos: --chaos-garbage-shard gives one slot a Byzantine
-        // worker (its -1 matches none). Its corrupted values carry
-        // valid frames and CRCs — only the audit layer can tell it
-        // from an honest one.
-        core::ShardBackendFactory backendFactory =
-            core::makeProcessShardFactory(
-                [workerArgv, garbageShard](std::size_t index) {
-                    std::vector<std::string> argv = workerArgv;
-                    if (static_cast<long>(index) == garbageShard)
-                        argv.push_back("--garbage-values");
-                    return argv;
-                },
-                clock, shardDeadline);
+    if (c.shards > 0) {
         sharded = std::make_unique<core::ShardedEngine>(
-            stack.substrate(), std::move(backendFactory), sharding);
+            stack.parallel, tools::shardBackends(c, clock),
+            tools::shardedOptions(c, topo, tasks, clock, health));
     }
     core::PerformanceEngine &substrate =
-        sharded ? *sharded : stack.substrate();
+        sharded ? static_cast<core::PerformanceEngine &>(*sharded)
+                : stack.parallel;
 
-    const core::CampaignResult result = core::runCampaign(
-        substrate, topo, tasks,
-        static_cast<std::uint64_t>(args.getInt("seed")), campaign);
-
+    const core::CampaignResult result =
+        core::runCampaign(substrate, topo, tasks, c.seed, campaign);
     if (!result.ran) {
         std::fprintf(stderr, "iterate: %s\n",
                      result.journalError.c_str());
-        return campaignExitCode(result);
+        return tools::iterateExitCode(result, health);
     }
 
-    // stdout carries only the deterministic campaign outcome — the
-    // fields that must be bit-identical between an uninterrupted run
-    // and a killed-and-resumed one (the CI journal-resume job diffs
-    // them). Operational detail (engine stats, journal accounting,
-    // abort reasons) goes to stderr.
+    // stdout carries only the deterministic campaign outcome (the CI
+    // journal-resume job diffs it); operational detail (engine stats,
+    // journal accounting, abort reasons) goes to stderr.
+    std::fputs(tools::renderIterateStdout(result, c.lossPercent).c_str(),
+               stdout);
     const core::IterativeResult &run = result.search;
-    std::printf("target loss %.2f%%: %s after %zu assignments "
-                "(%zu iterations)\n", loss,
-                run.satisfied ? "met" : "NOT met",
-                run.totalSampled, run.steps.size());
-    if (run.totalFailed != 0) {
-        std::printf("failed measurements: %zu of %zu attempted\n",
-                    run.totalFailed, run.totalAttempted);
-    }
-    if (!run.steps.empty()) {
-        std::printf("final: best %.0f PPS, UPB %.0f PPS, "
-                    "loss %.2f%%\n",
-                    run.final.bestObserved, run.final.pot.upb,
-                    100.0 * run.steps.back().loss);
-    }
-    if (run.final.bestAssignment) {
-        std::printf("best assignment:    %s\n",
-                    run.final.bestAssignment->toString().c_str());
-    }
-
     if (!run.abortReason.empty())
         std::fprintf(stderr, "aborted (%s): %s\n",
                      core::abortKindName(run.abortKind),
@@ -760,15 +472,10 @@ cmdIterate(int argc, char **argv)
                              result.unjournaledMeasurements));
         std::fprintf(stderr, "\n");
     }
-    printEngineStats(stderr, stack, result.engineStats,
-                     campaign.memoize);
+    printEngineStats(stderr, stack, result.engineStats, campaign.memoize);
 
-    int code = campaignExitCode(result);
-    if (code == 0 && health.worst() != core::HealthLevel::Ok) {
-        // The search met its target, but some component ran degraded
-        // (journal on memory only, shards quarantined/convicted, weak
-        // final estimate). The results are exact; the distinct code
-        // tells scripts the environment was not.
+    const int code = tools::iterateExitCode(result, health);
+    if (code == 7) {
         std::fprintf(stderr, "health: completed DEGRADED —");
         for (const core::Health::Component &component :
              health.components()) {
@@ -778,7 +485,6 @@ cmdIterate(int argc, char **argv)
                              core::healthLevelName(component.level));
         }
         std::fprintf(stderr, "\n");
-        code = 7;
     }
     return code;
 }

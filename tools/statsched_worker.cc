@@ -6,7 +6,8 @@
  * core::makeProcessShardFactory), one process per shard slot. The
  * worker builds the same in-process measurement substrate the
  * coordinator would use — FaultInjecting?(Simulated), from the same
- * engine flags — and serves the shard protocol over stdin/stdout:
+ * workload options (tools/campaign_setup.hh) — and serves the shard
+ * protocol over stdin/stdout:
  * frames in, frames out, nothing else on stdout (diagnostics go to
  * stderr, which is inherited from the coordinator).
  *
@@ -53,10 +54,7 @@
 #include "core/fault_injection.hh"
 #include "core/shard_worker.hh"
 #include "core/topology.hh"
-#include "sim/benchmarks.hh"
-#include "sim/engine.hh"
-
-#include "engine_flags.hh"
+#include "tools/campaign_setup.hh"
 
 namespace
 {
@@ -89,7 +87,7 @@ int
 main(int argc, char **argv)
 {
     base::OptionParser args;
-    tools::addWorkloadFlags(args);
+    tools::addWorkloadOptions(args);
     args.addOption("config-hash", "0",
                    "coordinator's engine-configuration fingerprint, "
                    "echoed in the Hello");
@@ -99,12 +97,8 @@ main(int argc, char **argv)
     const char *const who = "statsched_worker";
     tools::parseOrDie(who, args, argc, argv, 1);
     const core::Topology topo = core::Topology::ultraSparcT2();
-    const sim::Benchmark benchmark =
-        tools::benchmarkOrDie(who, args.get("benchmark"));
-    const std::uint32_t instances =
-        tools::instancesOrDie(who, args, benchmark, topo);
-    const core::FaultOptions faults =
-        tools::faultOptionsOrDie(who, args);
+    const tools::Workload workload =
+        tools::workloadOrDie(who, args, topo);
     std::uint64_t configHash = 0;
     if (!base::parseNumber(args.get("config-hash"), configHash)) {
         std::fprintf(stderr,
@@ -114,15 +108,8 @@ main(int argc, char **argv)
         return 2;
     }
 
-    sim::SimulatedEngine simulated(
-        sim::makeWorkload(benchmark, instances));
-    std::unique_ptr<core::FaultInjectingEngine> faulty;
-    core::PerformanceEngine *engine = &simulated;
-    if (faults.totalRate() > 0.0) {
-        faulty = std::make_unique<core::FaultInjectingEngine>(
-            *engine, faults);
-        engine = faulty.get();
-    }
+    tools::Substrate substrate(workload);
+    core::PerformanceEngine *engine = &substrate.engine();
     std::unique_ptr<core::ValueCorruptingEngine> garbage;
     if (args.flag("garbage-values")) {
         garbage =
@@ -131,7 +118,8 @@ main(int argc, char **argv)
     }
 
     core::ShardWorker worker(
-        *engine, topo, simulated.workload().taskCount(), configHash);
+        *engine, topo, substrate.simulated.workload().taskCount(),
+        configHash);
 
     base::installShutdownHandlers();
 
